@@ -17,7 +17,6 @@ import dataclasses
 from typing import Any, Iterable, Sequence
 
 from repro.core.errors import ExecutionError, TypeMismatchError
-from repro.engine.batch import batch_deref_enabled
 from repro.engine.objects import ObjectManager
 from repro.functions.manager import FunctionManager
 from repro.model.objects import MoodObject
@@ -79,9 +78,8 @@ class ExpressionEvaluator:
     ) -> list[Row]:
         """Rows satisfying every predicate -- the batch form of SELECT.
 
-        With the batch gate on, the paths the predicates chase are
-        prefetched across the whole batch first (one page-clustered
-        ``deref_many`` per path step); evaluation itself stays per-row,
+        The paths the predicates chase are prefetched across the whole
+        batch first (:meth:`prefetch`); evaluation itself stays per-row,
         so results are bit-identical to the one-at-a-time path.
         """
         predicates = tuple(predicates)
@@ -93,56 +91,22 @@ class ExpressionEvaluator:
             if all(self.predicate(p, row) for p in predicates)
         ]
 
-    def values_batch(self, expr: Expr, rows: Sequence[Row]) -> list[Any]:
-        """Per-row :meth:`value` over a whole batch (sort/partition keys),
-        prefetching the expression's paths batch-at-a-time first."""
-        self.prefetch((expr,), rows)
-        return [self.value(expr, row) for row in rows]
-
     def prefetch(
         self, exprs: Iterable[Expr], rows: Sequence[Row],
     ) -> None:
-        """Warm the object cache for every path step of ``exprs`` across
-        ``rows``: each step's reference OIDs are collected over the whole
-        batch and dereferenced with one page-clustered ``deref_many``
-        call, so subsequent per-row evaluation never issues a random
-        chase.  A no-op (and charge-free) when the batch gate is off.
-
-        Deliberately conservative: unbound variables, null references and
-        non-object values are skipped here -- per-row evaluation is the
-        single place errors and NULL semantics are decided.
-        """
-        if len(rows) < 2 or not batch_deref_enabled(self.objects):
+        """Warm every path of ``exprs`` across ``rows`` through
+        :meth:`ObjectManager.warm`, which decides whether a prefetch pays
+        (with the cache off it charges nothing)."""
+        if len(rows) < 2:
             return
         paths: list[Path] = []
         for expr in exprs:
             _collect_paths(expr, paths)
         for path in paths:
-            frontier: list[Any] = [
-                row[path.var] for row in rows if path.var in row
-            ]
-            for attribute in path.attrs:
-                oids = [
-                    v for v in frontier
-                    if isinstance(v, OID) and not v.is_null
-                ]
-                fetched = self.objects.deref_many(oids) if oids else {}
-                next_frontier: list[Any] = []
-                for value in frontier:
-                    if isinstance(value, MoodObject):
-                        obj = value
-                    elif isinstance(value, OID) and value in fetched:
-                        obj = fetched[value]
-                    else:
-                        continue
-                    attr_value = obj.state.get(attribute)
-                    if isinstance(attr_value, (set, frozenset, list)):
-                        next_frontier.extend(attr_value)
-                    else:
-                        next_frontier.append(attr_value)
-                frontier = next_frontier
-                if not frontier:
-                    break
+            self.objects.warm(
+                [row[path.var] for row in rows if path.var in row],
+                path.attrs,
+            )
 
     # -- dispatch ------------------------------------------------------------
 
@@ -215,15 +179,13 @@ class ExpressionEvaluator:
         return current
 
     def _resolve_references(self, values: list[Any]) -> dict | None:
-        """Batch-dereference one path step's OIDs (page-clustered) when the
-        object manager's deref fast path is on; ``None`` means chase one at
-        a time, each a separately charged random read."""
-        if not batch_deref_enabled(self.objects):
-            return None
+        """Dereference one path step's OIDs with one ``deref_many`` when
+        there are two or more; ``None`` means chase the single OID with
+        ``deref`` (which records it as a single chase, not a frontier)."""
         oids = [v for v in values if isinstance(v, OID) and not v.is_null]
         if len(oids) < 2:
             return None
-        return self.objects.deref_many(oids)
+        return dict(zip(oids, self.objects.deref_many(oids)))
 
     def _as_object(self, value: Any,
                    resolved: dict | None = None) -> MoodObject | None:

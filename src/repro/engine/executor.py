@@ -6,6 +6,11 @@ compared.  Emits a trace of operator events in execution order -- SELECT
 before JOIN before PROJECT before UNION, the Figure 7.2 discipline -- which
 the F71/F72 benchmarks print.
 
+Plan nodes exchange plain ``list[Row]`` batches.  Every dereference goes
+through the object manager (``deref_many`` for a frontier, ``warm`` via
+the evaluator's prefetch), which alone decides how it is charged; the
+executor holds no cache switch of its own.
+
 When a :class:`~repro.obs.spans.SpanRecorder` is attached, every plan node
 additionally opens a structured span (rows out, charged I/O, wall time)
 nested to mirror the plan tree; the flat trace is kept as-is, and each
@@ -19,7 +24,6 @@ from typing import Any
 
 from repro.catalog.catalog import Catalog
 from repro.core.errors import ExecutionError
-from repro.engine.batch import RowBatch, batch_deref_enabled
 from repro.engine.evaluator import ExpressionEvaluator, Row
 from repro.engine.indexes import IndexManager
 from repro.engine.joins import (
@@ -28,8 +32,10 @@ from repro.engine.joins import (
     forward_traversal,
     fused_traversal,
     hash_partition_join,
+    indexed_join,
     nested_loop_join,
 )
+from repro.engine.objects import ObjectManager
 from repro.optimizer.plan import (
     BindNode,
     DupElimNode,
@@ -63,27 +69,27 @@ class TraceEvent:
 class Executor:
     """Interprets access plans into rows of variable bindings.
 
-    Operators exchange :class:`RowBatch`es: each plan node consumes and
-    produces a whole batch, so predicates prefetch their paths across
-    the batch and traversals dereference per-hop frontiers through one
-    page-clustered ``deref_many`` call (when the deref cache is on;
-    otherwise execution degrades to the paper's one-chase-one-read
-    behaviour row by row).
+    Operators exchange plain ``list[Row]`` batches: each plan node
+    consumes and produces whole lists, so predicates prefetch their paths
+    across the batch and traversals dereference per-hop frontiers through
+    one ``deref_many`` call.  How those calls are charged (page-clustered
+    through the object cache, or the paper's one-chase-one-read) is the
+    object manager's decision, never the executor's.
     """
 
-    objects: Any
+    objects: ObjectManager
     evaluator: ExpressionEvaluator
     catalog: Catalog
     index_manager: IndexManager | None = None
     trace: list[TraceEvent] = field(default_factory=list)
     spans: Any = None    # optional repro.obs.spans.SpanRecorder
-    _temp_cache: dict[str, RowBatch] = field(default_factory=dict)
+    _temp_cache: dict[str, list[Row]] = field(default_factory=dict)
     _output_vars: frozenset[str] = frozenset()
 
     def execute_plan(self, plan: QueryPlan) -> list[Row]:
         self._temp_cache = {}
         self._output_vars = frozenset(plan.output_vars)
-        return self._exec(plan.root).rows
+        return self._exec(plan.root)
 
     def _emit(self, operator: str, detail: str = "") -> None:
         event = TraceEvent(operator, detail)
@@ -93,7 +99,7 @@ class Executor:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _exec(self, node: PlanNode) -> RowBatch:
+    def _exec(self, node: PlanNode) -> list[Row]:
         if self.spans is None:
             return self._dispatch(node)
         from repro.obs.spans import describe_node
@@ -104,7 +110,7 @@ class Executor:
             span.rows_out = len(rows)
             return rows
 
-    def _dispatch(self, node: PlanNode) -> RowBatch:
+    def _dispatch(self, node: PlanNode) -> list[Row]:
         if isinstance(node, BindNode):
             return self._exec_bind(node)
         if isinstance(node, IndSelNode):
@@ -126,23 +132,23 @@ class Executor:
         if isinstance(node, DupElimNode):
             rows = self._exec(node.input)
             self._emit("DUPELIM")
-            return rows.dedup()
+            return _dedup(rows)
         if isinstance(node, SortNode):
             return self._exec_sort(node)
         raise ExecutionError(f"cannot execute plan node {type(node).__name__}")
 
     # -- leaves ---------------------------------------------------------------
 
-    def _exec_bind(self, node: BindNode) -> RowBatch:
+    def _exec_bind(self, node: BindNode) -> list[Row]:
         self._emit("BIND", f"{node.class_name}, {node.var}")
         include = node.include_classes or None
-        return RowBatch([
+        return [
             {node.var: obj}
             for obj in self.objects.iter_extent(node.class_name,
                                                 include=include)
-        ])
+        ]
 
-    def _exec_indsel(self, node: IndSelNode) -> RowBatch:
+    def _exec_indsel(self, node: IndSelNode) -> list[Row]:
         if self.index_manager is None:
             raise ExecutionError("INDSEL requires an index manager")
         self._emit("INDSEL", f"{node.class_name}, {node.var}")
@@ -157,21 +163,15 @@ class Executor:
             probe for probe in node.probes
             if self.index_manager.needs_verification(probe.index_name)
         ]
-        hits = sorted(oids)
-        if batch_deref_enabled(self.objects):
-            fetched = self.objects.deref_many(hits)
-            probes = [fetched[oid] for oid in hits]
-        else:
-            probes = [self.objects.deref(oid) for oid in hits]
         candidates = [
             {node.var: obj}
-            for obj in probes
+            for obj in self.objects.deref_many(sorted(oids))
             if not node.include_classes
             or obj.class_name in node.include_classes
         ]
-        return RowBatch(self.evaluator.filter_batch(
+        return self.evaluator.filter_batch(
             tuple(p.predicate for p in verify), candidates
-        ))
+        )
 
     def _probe_index(self, index, predicate: Expr) -> set:
         if isinstance(predicate, Between):
@@ -201,23 +201,21 @@ class Executor:
             return {o for _, o in index.range_scan(None, key)}
         raise ExecutionError(f"cannot probe an index with operator {op!r}")
 
-    def _exec_select(self, node: SelectNode) -> RowBatch:
+    def _exec_select(self, node: SelectNode) -> list[Row]:
         rows = self._exec(node.input)
         self._emit("SELECT", " AND ".join(str(p) for p in node.predicates))
-        return RowBatch(
-            self.evaluator.filter_batch(node.predicates, rows.rows)
-        )
+        return self.evaluator.filter_batch(node.predicates, rows)
 
-    def _exec_named(self, node: NamedRef) -> RowBatch:
+    def _exec_named(self, node: NamedRef) -> list[Row]:
         if node.name in self._temp_cache:
-            return RowBatch(list(self._temp_cache[node.name].rows))
+            return list(self._temp_cache[node.name])
         if node.plan is None:
             raise ExecutionError(f"temporary {node.name} has no plan")
         rows = self._exec(node.plan)
         self._temp_cache[node.name] = rows
-        return RowBatch(list(rows.rows))
+        return list(rows)
 
-    def _exec_project(self, node: ProjectNode) -> RowBatch:
+    def _exec_project(self, node: ProjectNode) -> list[Row]:
         rows = self._exec(node.input)
         self._emit("PROJECT", ", ".join(str(p) for p in node.projections)
                    or "*")
@@ -235,11 +233,14 @@ class Executor:
         keep = set(self._output_vars)
         for expr in node.projections:
             keep |= referenced_variables(expr)
-        return rows.project(keep)
+        return [
+            {var: obj for var, obj in row.items() if var in keep}
+            for row in rows
+        ]
 
     # -- joins --------------------------------------------------------------
 
-    def _exec_fused(self, node: FusedTraversalNode) -> RowBatch:
+    def _exec_fused(self, node: FusedTraversalNode) -> list[Row]:
         left = self._exec(node.input)
         # Figure 7.2 discipline: each hop's residual predicates are
         # conceptually a SELECT below the join, traced before it; the
@@ -255,27 +256,25 @@ class Executor:
         ))
 
         def on_hop(hop, rows_in, frontier, rows_out):
-            if self.spans is not None:
-                self.spans.event(
-                    f"HOP({hop.left_var}.{hop.attr} -> {hop.right_var}: "
-                    f"rows_in={rows_in}, batch={frontier}, "
-                    f"rows_out={rows_out})"
-                )
+            self.spans.event(
+                f"HOP({hop.left_var}.{hop.attr} -> {hop.right_var}: "
+                f"rows_in={rows_in}, batch={frontier}, "
+                f"rows_out={rows_out})"
+            )
 
-        return RowBatch(fused_traversal(
-            left.rows, node.hops, self.objects, self.evaluator,
-            on_hop=on_hop,
-        ))
+        return fused_traversal(
+            left, node.hops, self.objects, self.evaluator,
+            on_hop=on_hop if self.spans is not None else None,
+        )
 
-    def _exec_join(self, node: JoinNode) -> RowBatch:
+    def _exec_join(self, node: JoinNode) -> list[Row]:
         if node.method == "NESTED_LOOP":
             left_rows = self._exec(node.left)
             right_rows = self._exec(node.right)
             self._emit("JOIN", f"{node.method}, {node.predicate_text}")
-            return RowBatch(nested_loop_join(
-                left_rows.rows, right_rows.rows,
-                node.predicate_expr, self.evaluator,
-            ))
+            return nested_loop_join(
+                left_rows, right_rows, node.predicate_expr, self.evaluator,
+            )
         if node.left_var is None or node.attr is None \
                 or node.right_var is None:
             raise ExecutionError(
@@ -285,42 +284,36 @@ class Executor:
             left_rows = self._exec(node.left)
             right = self._right_side(node)
             self._emit("JOIN", f"{node.method}, {node.predicate_text}")
-            return RowBatch(forward_traversal(
-                left_rows.rows, node.left_var, node.attr,
-                self._join_side(right),
+            return forward_traversal(
+                left_rows, node.left_var, node.attr, right,
                 node.right_var, self.objects, self.evaluator,
-            ))
+            )
         if node.method == "BACKWARD_TRAVERSAL":
             left = self._pipelineable(node.left)
             if left is not None and left.predicates:
                 self._emit("SELECT",
                            " AND ".join(str(p) for p in left.predicates))
             if left is None:
-                left = self._exec(node.left).rows
+                left = self._exec(node.left)
             right_rows = self._exec(node.right)
             self._emit("JOIN", f"{node.method}, {node.predicate_text}")
-            return RowBatch(backward_traversal(
-                left, node.left_var, node.attr, right_rows.rows,
+            return backward_traversal(
+                left, node.left_var, node.attr, right_rows,
                 node.right_var, self.objects, self.evaluator,
-            ))
+            )
         if node.method == "HASH_PARTITION":
             left_rows = self._exec(node.left)
             right = self._right_side(node)
             self._emit("JOIN", f"{node.method}, {node.predicate_text}")
-            return RowBatch(hash_partition_join(
-                left_rows.rows, node.left_var, node.attr,
-                self._join_side(right),
+            return hash_partition_join(
+                left_rows, node.left_var, node.attr, right,
                 node.right_var, self.objects, self.evaluator,
-            ))
+            )
         if node.method == "BINARY_JOIN_INDEX":
             return self._exec_indexed_join(node)
         raise ExecutionError(f"unknown join method {node.method!r}")
 
-    @staticmethod
-    def _join_side(side: PipelinedLeaf | RowBatch) -> PipelinedLeaf | list[Row]:
-        return side if isinstance(side, PipelinedLeaf) else side.rows
-
-    def _right_side(self, node: JoinNode) -> PipelinedLeaf | RowBatch:
+    def _right_side(self, node: JoinNode) -> PipelinedLeaf | list[Row]:
         """Prefer a pipelined right leaf; its residual predicates run first
         (conceptually: SELECT below JOIN, Figure 7.2)."""
         leaf = self._pipelineable(node.right)
@@ -331,37 +324,27 @@ class Executor:
             return leaf
         return self._exec(node.right)
 
-    def _exec_indexed_join(self, node: JoinNode) -> RowBatch:
-        from repro.engine.joins import indexed_join
-
+    def _exec_indexed_join(self, node: JoinNode) -> list[Row]:
         left_rows = self._exec(node.left)
-        right = self._join_side(self._right_side(node))
+        right = self._right_side(node)
         self._emit("JOIN", f"{node.method}, {node.predicate_text}")
         join_index = None
-        if self.index_manager is not None:
-            left_leaf = self._pipelineable(node.left)
-            class_name = left_leaf.class_name if left_leaf else None
-            if class_name is None:
-                # Find by attribute alone.
-                for candidate in self.index_manager.join_indexes.values():
-                    if candidate.attribute == node.attr:
-                        join_index = candidate
-                        break
-            else:
-                join_index = self.index_manager.join_index_for(
-                    class_name, node.attr
-                )
+        class_name = _bound_class(node.left, node.left_var)
+        if self.index_manager is not None and class_name is not None:
+            join_index = self.index_manager.join_index_for(
+                class_name, node.attr
+            )
         if join_index is None:
             # Degrade gracefully: the pairs are still reachable by forward
             # traversal.
-            return RowBatch(forward_traversal(
-                left_rows.rows, node.left_var, node.attr, right,
+            return forward_traversal(
+                left_rows, node.left_var, node.attr, right,
                 node.right_var, self.objects, self.evaluator,
-            ))
-        return RowBatch(indexed_join(
-            left_rows.rows, node.left_var, join_index, right,
+            )
+        return indexed_join(
+            left_rows, node.left_var, join_index, right,
             node.right_var, self.objects, self.evaluator,
-        ))
+        )
 
     def _pipelineable(self, node: PlanNode) -> PipelinedLeaf | None:
         """Recognise leaves the join methods can evaluate per object."""
@@ -377,16 +360,16 @@ class Executor:
 
     # -- set-level operators ------------------------------------------------------
 
-    def _exec_union(self, node: UnionNode) -> RowBatch:
-        merged = RowBatch.concat(self._exec(child) for child in node.inputs)
+    def _exec_union(self, node: UnionNode) -> list[Row]:
+        merged = [row for child in node.inputs for row in self._exec(child)]
         self._emit("UNION", f"{len(node.inputs)} AND-terms")
-        return merged.dedup(node.key_vars or None)
+        return _dedup(merged, node.key_vars or None)
 
-    def _exec_partition(self, node: PartitionNode) -> RowBatch:
+    def _exec_partition(self, node: PartitionNode) -> list[Row]:
         rows = self._exec(node.input)
         self._emit("PARTITION", ", ".join(str(k) for k in node.keys))
         # Group keys chase their paths over the whole batch first.
-        self.evaluator.prefetch(node.keys, rows.rows)
+        self.evaluator.prefetch(node.keys, rows)
         groups: dict[tuple, list[Row]] = {}
         order: list[tuple] = []
         for row in rows:
@@ -397,7 +380,7 @@ class Executor:
                 groups[key] = []
                 order.append(key)
             groups[key].append(row)
-        representatives = RowBatch()
+        representatives: list[Row] = []
         for key in order:
             group = groups[key]
             representative = dict(group[0])
@@ -408,14 +391,14 @@ class Executor:
             self._emit("HAVING", str(node.having))
         return representatives
 
-    def _exec_sort(self, node: SortNode) -> RowBatch:
+    def _exec_sort(self, node: SortNode) -> list[Row]:
         rows = self._exec(node.input)
         self._emit("SORT", ", ".join(str(k.expr) for k in node.keys))
         from repro.algebra.collection_ops import _NullsFirst
 
         # Sort keys may traverse references; warm them batch-at-a-time.
         self.evaluator.prefetch(
-            tuple(item.expr for item in node.keys), rows.rows
+            tuple(item.expr for item in node.keys), rows
         )
 
         def sort_key(row: Row):
@@ -426,7 +409,7 @@ class Executor:
                 parts.append(_Reversible(wrapped, item.ascending))
             return parts
 
-        return RowBatch(sorted(rows.rows, key=sort_key))
+        return sorted(rows, key=sort_key)
 
 
 class _Reversible:
@@ -461,6 +444,24 @@ def _dedup(rows: list[Row], key_vars: tuple[str, ...] | None = None) -> list[Row
             seen.add(key)
             result.append(row)
     return result
+
+
+def _bound_class(node: PlanNode, var: str) -> str | None:
+    """The class a plan subtree binds ``var`` to: its BIND/INDSEL leaf or
+    fused hop (temporaries included).  A join index is chosen by this
+    class, not by attribute name alone, which several classes may share."""
+    for sub in node.walk():
+        if isinstance(sub, (BindNode, IndSelNode)) and sub.var == var:
+            return sub.class_name
+        if isinstance(sub, FusedTraversalNode):
+            for hop in sub.hops:
+                if hop.right_var == var:
+                    return hop.class_name
+        if isinstance(sub, NamedRef) and sub.plan is not None:
+            found = _bound_class(sub.plan, var)
+            if found is not None:
+                return found
+    return None
 
 
 def _literal(expr: Expr):

@@ -13,14 +13,17 @@ which the simulated disk accounts:
   3(b+b') hybrid-hash structure), then chases pointers partition by
   partition.
 
-When the deref cache is on, the kernels collect their probe OIDs first
-and fetch them through
-:meth:`~repro.engine.objects.ObjectManager.deref_many` -- one
-page-clustered batch per join level instead of one random chase per
-reference -- and :func:`fused_traversal` runs a whole *chain* of forward
-traversals as one set operation, dereferencing each hop's deduplicated
-frontier with a single batched call.  With the cache off every chase is
-charged individually, exactly as the paper's cost formulas price it.
+The kernels share three helpers: :func:`_chase` dereferences a whole
+join level with one
+:meth:`~repro.engine.objects.ObjectManager.deref_many`, :func:`_probe`
+applies a pipelined leaf's include filter and residual predicates, and
+:func:`_match` joins against a materialised right side on OIDs.
+:func:`fused_traversal` runs a whole *chain* of forward traversals as
+one set operation, a ``_chase`` + ``_probe`` per hop.  The kernels never
+ask how a chase is charged: the object manager batches a level into
+page-clustered reads when its cache is on, and charges one read per
+chase in caller order when it is off, exactly as the paper's cost
+formulas price it.
 """
 
 from __future__ import annotations
@@ -30,11 +33,12 @@ from dataclasses import dataclass
 
 from repro.algebra.collection_ops import _reference_oids
 from repro.core.errors import ExecutionError
-from repro.engine.batch import batch_deref_enabled
 from repro.engine.evaluator import ExpressionEvaluator, Row
 from repro.engine.indexes import BinaryJoinIndex
 from repro.engine.objects import ObjectManager
+from repro.model.objects import MoodObject
 from repro.sql.ast import Expr
+from repro.storage.oid import OID
 
 
 @dataclass
@@ -48,31 +52,75 @@ class PipelinedLeaf:
     predicates: tuple[Expr, ...]
 
 
-#: Single gate for the set-oriented deref fast path (see engine.batch).
-_batchable = batch_deref_enabled
+def _references(
+    rows: list[Row], var: str, attr: str,
+) -> list[tuple[Row, OID]]:
+    """``(row, oid)`` for every reference ``var.attr`` holds, in row order."""
+    return [
+        (row, oid)
+        for row in rows
+        for oid in _reference_oids(row[var].state.get(attr))
+    ]
 
 
 def _chase(
-    left_rows: list[Row],
-    oids_of,
-    objects: ObjectManager,
-) -> list[tuple[Row, list]]:
-    """Dereference every row's reference OIDs; returns ``(row, objects)``
-    pairs in row order.
+    pairs: list[tuple[Row, OID]], objects: ObjectManager,
+) -> list[tuple[Row, MoodObject]]:
+    """Dereference a whole join level with one ``deref_many``; the store
+    decides how it is charged (page-clustered with the cache on, one
+    random read per chase in row order with it off)."""
+    targets = objects.deref_many([oid for _, oid in pairs])
+    return [(row, obj) for (row, _), obj in zip(pairs, targets)]
 
-    On the fast path the distinct OIDs of the whole probe side are fetched
-    in one page-clustered batch (``deref_many``); otherwise each chase is
-    a separately charged random read, as the Table 16 formula prices it.
-    """
-    per_row = [(row, oids_of(row)) for row in left_rows]
-    if _batchable(objects):
-        fetched = objects.deref_many(
-            oid for _, oids in per_row for oid in oids
-        )
-        return [(row, [fetched[oid] for oid in oids])
-                for row, oids in per_row]
-    return [(row, [objects.deref(oid) for oid in oids])
-            for row, oids in per_row]
+
+def _probe(
+    chased: list[tuple[Row, MoodObject]],
+    var: str,
+    include: tuple[str, ...],
+    predicates: tuple[Expr, ...],
+    evaluator: ExpressionEvaluator,
+) -> list[Row]:
+    """Bind each chased object to ``var``, keeping those of the
+    ``include`` closure that pass every residual predicate (the pipelined
+    leaf's SELECT)."""
+    result: list[Row] = []
+    for row, obj in chased:
+        if include and obj.class_name not in include:
+            continue
+        probe = {**row, var: obj}
+        if all(evaluator.predicate(p, probe) for p in predicates):
+            result.append(probe)
+    return result
+
+
+def _match(
+    pairs: list[tuple[Row, OID]], right_rows: list[Row], right_var: str,
+) -> list[Row]:
+    """Join ``(row, oid)`` pairs with a materialised right side on the
+    OID its ``right_var`` binds."""
+    by_oid: dict = {}
+    for right_row in right_rows:
+        by_oid.setdefault(right_row[right_var].oid, []).append(right_row)
+    return [
+        {**row, **right_row}
+        for row, oid in pairs
+        for right_row in by_oid.get(oid, ())
+    ]
+
+
+def _join(
+    pairs: list[tuple[Row, OID]],
+    right: PipelinedLeaf | list[Row],
+    right_var: str,
+    objects: ObjectManager,
+    evaluator: ExpressionEvaluator,
+) -> list[Row]:
+    """Chase and probe a pipelined right leaf, or match a materialised
+    right side."""
+    if isinstance(right, PipelinedLeaf):
+        return _probe(_chase(pairs, objects), right_var, right.include,
+                      right.predicates, evaluator)
+    return _match(pairs, right, right_var)
 
 
 def forward_traversal(
@@ -84,30 +132,8 @@ def forward_traversal(
     objects: ObjectManager,
     evaluator: ExpressionEvaluator,
 ) -> list[Row]:
-    result: list[Row] = []
-    if isinstance(right, PipelinedLeaf):
-        chased = _chase(
-            left_rows,
-            lambda row: _reference_oids(row[left_var].state.get(attr)),
-            objects,
-        )
-        for row, targets in chased:
-            for obj in targets:
-                if right.include and obj.class_name not in right.include:
-                    continue
-                probe = {**row, right_var: obj}
-                if all(evaluator.predicate(p, probe)
-                       for p in right.predicates):
-                    result.append(probe)
-        return result
-    by_oid: dict = {}
-    for row in right:
-        by_oid.setdefault(row[right_var].oid, []).append(row)
-    for row in left_rows:
-        for oid in _reference_oids(row[left_var].state.get(attr)):
-            for right_row in by_oid.get(oid, ()):
-                result.append({**row, **right_row})
-    return result
+    return _join(_references(left_rows, left_var, attr), right, right_var,
+                 objects, evaluator)
 
 
 @dataclass(frozen=True)
@@ -134,45 +160,23 @@ def fused_traversal(
     """Run a chain of forward traversals as one set operation.
 
     Per hop the frontier -- every reference OID reachable from the
-    surviving rows -- is collected first and dereferenced with a single
-    page-clustered :meth:`deref_many` call (deduplicated, so an object
-    shared by many rows is fetched once); include-filter and residual
-    predicates are then applied row by row against the warm cache.  When
-    the batch gate is off each chase is a separately charged read in row
-    order, matching the unfused forward traversal exactly.
+    surviving rows -- is dereferenced with a single :meth:`deref_many`
+    call; include-filter and residual predicates are then applied row by
+    row.
 
     ``on_hop(hop, rows_in, frontier_size, rows_out)`` is invoked after
-    each hop for span accounting (batch sizes in EXPLAIN ANALYZE) and is
-    the seam the invalidation tests use to interleave DDL/abort/crash
-    between hops.
+    each hop with the number of *distinct* frontier OIDs, for span
+    accounting (batch sizes in EXPLAIN ANALYZE); it is also the seam the
+    invalidation tests use to interleave DDL/abort/crash between hops.
     """
     rows = list(left_rows)
     for hop in hops:
-        per_row = [
-            (row, _reference_oids(row[hop.left_var].state.get(hop.attr)))
-            for row in rows
-        ]
-        if _batchable(objects):
-            frontier = list(dict.fromkeys(
-                oid for _, oids in per_row for oid in oids
-            ))
-            fetched = objects.deref_many(frontier)
-            resolve = fetched.__getitem__
-        else:
-            frontier = [oid for _, oids in per_row for oid in oids]
-            resolve = objects.deref
-        next_rows: list[Row] = []
-        for row, oids in per_row:
-            for oid in oids:
-                obj = resolve(oid)
-                if hop.include and obj.class_name not in hop.include:
-                    continue
-                probe = {**row, hop.right_var: obj}
-                if all(evaluator.predicate(p, probe)
-                       for p in hop.predicates):
-                    next_rows.append(probe)
+        pairs = _references(rows, hop.left_var, hop.attr)
+        next_rows = _probe(_chase(pairs, objects), hop.right_var,
+                           hop.include, hop.predicates, evaluator)
         if on_hop is not None:
-            on_hop(hop, len(rows), len(frontier), len(next_rows))
+            frontier = len({oid for _, oid in pairs})
+            on_hop(hop, len(rows), frontier, len(next_rows))
         rows = next_rows
     return rows
 
@@ -186,10 +190,6 @@ def backward_traversal(
     objects: ObjectManager,
     evaluator: ExpressionEvaluator,
 ) -> list[Row]:
-    by_oid: dict = {}
-    for row in right_rows:
-        by_oid.setdefault(row[right_var].oid, []).append(row)
-    result: list[Row] = []
     if isinstance(left, PipelinedLeaf):
         # The defining property: a sequential scan over C's extent.  The
         # scan is materialised as one batch so the residual predicates
@@ -199,17 +199,9 @@ def backward_traversal(
             for obj in objects.iter_extent(left.class_name,
                                            include=left.include or None)
         ]
-        for row in evaluator.filter_batch(left.predicates, scanned):
-            obj = row[left.var]
-            for oid in _reference_oids(obj.state.get(attr)):
-                for right_row in by_oid.get(oid, ()):
-                    result.append({**row, **right_row})
-        return result
-    for row in left:
-        for oid in _reference_oids(row[left_var].state.get(attr)):
-            for right_row in by_oid.get(oid, ()):
-                result.append({**row, **right_row})
-    return result
+        left_var = left.var
+        left = evaluator.filter_batch(left.predicates, scanned)
+    return _match(_references(left, left_var, attr), right_rows, right_var)
 
 
 def indexed_join(
@@ -221,30 +213,12 @@ def indexed_join(
     objects: ObjectManager,
     evaluator: ExpressionEvaluator,
 ) -> list[Row]:
-    result: list[Row] = []
-    if isinstance(right, PipelinedLeaf):
-        chased = _chase(
-            left_rows,
-            lambda row: join_index.rights_of(row[left_var].oid),
-            objects,
-        )
-        for row, targets in chased:
-            for obj in targets:
-                if right.include and obj.class_name not in right.include:
-                    continue
-                probe = {**row, right_var: obj}
-                if all(evaluator.predicate(p, probe)
-                       for p in right.predicates):
-                    result.append(probe)
-        return result
-    by_oid: dict = {}
-    for row in right:
-        by_oid.setdefault(row[right_var].oid, []).append(row)
-    for row in left_rows:
-        for oid in join_index.rights_of(row[left_var].oid):
-            for right_row in by_oid.get(oid, ()):
-                result.append({**row, **right_row})
-    return result
+    pairs = [
+        (row, oid)
+        for row in left_rows
+        for oid in join_index.rights_of(row[left_var].oid)
+    ]
+    return _join(pairs, right, right_var, objects, evaluator)
 
 
 def hash_partition_join(
@@ -261,41 +235,21 @@ def hash_partition_join(
     pointers partition by partition (clustering the random reads)."""
     if num_partitions is None:
         num_partitions = max(1, min(32, int(math.sqrt(len(left_rows))) or 1))
-    partitions: dict[int, list[tuple]] = {}
-    for row in left_rows:
-        for oid in _reference_oids(row[left_var].state.get(attr)):
-            partitions.setdefault(hash(oid) % num_partitions, []).append(
-                (oid, row)
-            )
+    partitions: dict[int, list[tuple[Row, OID]]] = {}
+    for pair in _references(left_rows, left_var, attr):
+        partitions.setdefault(hash(pair[1]) % num_partitions, []).append(pair)
     _charge_partition_passes(objects, len(left_rows))
+    buckets = [partitions[bucket] for bucket in sorted(partitions)]
+    if not isinstance(right, PipelinedLeaf):
+        return _match([pair for bucket in buckets for pair in bucket],
+                      right, right_var)
     result: list[Row] = []
-    if isinstance(right, PipelinedLeaf):
-        for bucket in sorted(partitions):
-            pairs = sorted(partitions[bucket], key=lambda pair: pair[0])
-            # Each partition's chases are already clustered by the
-            # pointer sort; the batch gate collapses them further into
-            # one deref_many per partition.
-            fetched = (
-                objects.deref_many(oid for oid, _ in pairs)
-                if _batchable(objects) else None
-            )
-            for oid, row in pairs:
-                obj = fetched[oid] if fetched is not None \
-                    else objects.deref(oid)
-                if right.include and obj.class_name not in right.include:
-                    continue
-                probe = {**row, right_var: obj}
-                if all(evaluator.predicate(p, probe)
-                       for p in right.predicates):
-                    result.append(probe)
-        return result
-    by_oid: dict = {}
-    for row in right:
-        by_oid.setdefault(row[right_var].oid, []).append(row)
-    for bucket in sorted(partitions):
-        for oid, row in partitions[bucket]:
-            for right_row in by_oid.get(oid, ()):
-                result.append({**row, **right_row})
+    for bucket in buckets:
+        # Sorting on the pointer clusters each partition's chases; they
+        # are dereferenced as one deref_many per partition.
+        chased = _chase(sorted(bucket, key=lambda pair: pair[1]), objects)
+        result.extend(_probe(chased, right_var, right.include,
+                             right.predicates, evaluator))
     return result
 
 

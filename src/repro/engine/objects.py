@@ -10,22 +10,29 @@ protocol, so algebra operators run directly against persistent data.
 All I/O goes through the storage manager and is therefore accounted
 against the Table 10 disk parameters.
 
-Dereferencing has a *fast path* (on by default, ``cache_enabled``):
+The manager alone decides how dereferencing is charged; operators just
+call :meth:`deref` for one OID, :meth:`deref_many` for a frontier (one
+object back per OID given, in caller order) and :meth:`warm` to prefetch
+a path.  Dereferencing has a *fast path* (on by default,
+``cache_enabled``):
 
 * an :class:`~repro.engine.objcache.ObjectCache` LRU short-circuits
   repeated chases of the same OID without touching the disk;
-* :meth:`deref_many` fetches a batch of OIDs grouped by extent in
-  ascending page order, so N random chases collapse into page-clustered
-  reads (consecutive same-page reads are buffer hits) -- the access
-  pattern the paper's forward-traversal formula assumes;
+* :meth:`deref_many` fetches a frontier's distinct misses grouped by
+  extent in ascending page order, so N random chases collapse into
+  page-clustered reads (consecutive same-page reads are buffer hits) --
+  the access pattern the paper's forward-traversal formula assumes;
+* :meth:`warm` walks a path over a whole batch of rows with one
+  ``deref_many`` per step;
 * the cache is invalidated on insert/update/delete, cleared wholesale on
   transaction abort and on crash/restart recovery (registered through the
   storage manager's hooks), and cleared when the page map is rebuilt
   (DROP CLASS may recycle pages).
 
-With ``cache_enabled=False`` every ``deref`` is a charged read + decode
-again, restoring the exact paper-faithful I/O accounting the Table 16/17
-cost validation measures.
+With ``cache_enabled=False`` every chase is a charged read + decode again
+-- ``deref_many`` is a ``deref`` per entry in caller order and ``warm``
+does nothing -- restoring the exact paper-faithful I/O accounting the
+Table 16/17 cost validation measures.
 
 Multi-session service (``repro.server``) threads a *current transaction*
 through the manager: while :attr:`current_txn` is set, every read takes an
@@ -41,7 +48,7 @@ visibility rules so sessions never see each other's uncommitted state:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from repro.algebra.collections import ObjectStore
 from repro.catalog.catalog import Catalog
@@ -266,23 +273,29 @@ class ObjectManager(ObjectStore):
         )
         return mode is LockMode.X
 
-    def deref_many(self, oids: Iterable[OID]) -> dict[OID, MoodObject]:
-        """Dereference a batch of OIDs, page-clustered.
+    def deref_many(self, oids: Iterable[OID]) -> list[MoodObject]:
+        """Dereference a batch of OIDs: one object per OID given, in the
+        caller's order (duplicates included).
 
-        Cache misses are grouped by extent and fetched in ascending page
-        order, so chases that share a page are served by one buffered read
-        instead of one random I/O each.  Returns ``{oid: object}`` over the
-        *distinct* OIDs given.  With the cache disabled this degrades to
-        plain ``deref`` per OID in the order given (paper-faithful
-        charging).
+        The store alone decides how the batch is charged:
+
+        * cache off -- one charged :meth:`deref` per entry, duplicates
+          included, in caller order (the paper's one-chase-one-read
+          accounting);
+        * under a session transaction -- one :meth:`deref` per distinct
+          OID, which keeps the locking and cache-visibility rules in one
+          place (the engine latch already serialises the statement);
+        * otherwise -- distinct cache misses are grouped by extent and
+          fetched in ascending page order, so chases that share a page
+          are served by one buffered read instead of one random I/O each.
         """
+        oids = list(oids)
+        if self.cache is None:
+            return [self.deref(oid) for oid in oids]
         distinct = list(dict.fromkeys(oids))
-        if self.cache is None or self.current_txn is not None:
-            # Under a session transaction, plain deref per OID keeps the
-            # locking and cache-visibility rules in one place (batching
-            # matters less there: the engine latch already serialises the
-            # statement).
-            return {oid: self.deref(oid) for oid in distinct}
+        if self.current_txn is not None:
+            fetched = {oid: self.deref(oid) for oid in distinct}
+            return [fetched[oid] for oid in oids]
         result: dict[OID, MoodObject] = {}
         misses: dict[str, list[OID]] = {}
         for oid in distinct:
@@ -306,7 +319,45 @@ class ObjectManager(ObjectStore):
             self.coaccess.note_frontier(
                 [(oid, result[oid].class_name) for oid in distinct]
             )
-        return result
+        return [result[oid] for oid in oids]
+
+    def warm(self, frontier: list, attrs: Sequence[str]) -> None:
+        """Pull every object a path walk from ``frontier`` along ``attrs``
+        reaches into the cache, one :meth:`deref_many` per step, so later
+        per-row evaluation of the path never issues a random chase.
+
+        Returns at once when the cache is off: there is nothing to warm,
+        so a prefetch charges no I/O.  Deliberately conservative: null
+        references and non-object values are skipped -- per-row
+        evaluation is the single place errors and NULL semantics are
+        decided.
+        """
+        if self.cache is None:
+            return
+        for step, attribute in enumerate(attrs, 1):
+            oids = [
+                v for v in frontier if isinstance(v, OID) and not v.is_null
+            ]
+            objs = self.deref_many(oids) if oids else []
+            if step == len(attrs):
+                return  # the path's final values are never dereferenced
+            fetched = dict(zip(oids, objs))
+            next_frontier: list = []
+            for value in frontier:
+                if isinstance(value, MoodObject):
+                    obj = value
+                elif isinstance(value, OID) and value in fetched:
+                    obj = fetched[value]
+                else:
+                    continue
+                attr_value = obj.state.get(attribute)
+                if isinstance(attr_value, (set, frozenset, list)):
+                    next_frontier.extend(attr_value)
+                else:
+                    next_frontier.append(attr_value)
+            frontier = next_frontier
+            if not frontier:
+                return
 
     def note_relocation(self, class_name: str, old_oid: OID,
                         new_oid: OID) -> None:

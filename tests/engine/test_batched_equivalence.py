@@ -1,14 +1,16 @@
 """Differential equivalence harness for set-oriented execution.
 
-The PR 6 contract: batching and fusion are purely *physical*.  For
-randomized chain schemas, data, interleaved writes and path queries,
-every cell of the {fused, unfused forced plan} x {object cache on, off}
-matrix must return the identical row multiset -- and the planner's own
-plans (which also exercise the plan cache) must agree too.  With the
-cache on, the fused plan must never charge *more* simulated page I/O
-than the unfused one.  With the cache off no such bound holds: a fused
-hop charges one read per chase of its whole frontier, which can cost
-more than the unfused plan's pipelined per-row chases.
+The contract: batching, fusion and the choice of join method are purely
+*physical*.  For randomized chain schemas (with a binary join index on
+every reference), data, interleaved writes and path queries, every cell
+of the {four join methods, forced and unfused} x {object cache on, off}
+matrix -- plus the fused forward traversal -- must return the identical
+row multiset, and the planner's own plans (which also exercise the plan
+cache) must agree too.  With the cache on, the fused plan must never
+charge *more* simulated page I/O than the unfused forward traversal.
+With the cache off no such bound holds: a fused hop charges one read per
+chase of its whole frontier, which can cost more than the unfused plan's
+pipelined per-row chases.
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ from repro.sql.parser import parse
 
 #: (label, cache_enabled) -- one database per cache setting.
 CELLS = (("cache", True), ("paper", False))
+METHODS = ("FORWARD_TRAVERSAL", "BACKWARD_TRAVERSAL", "HASH_PARTITION",
+           "BINARY_JOIN_INDEX")
 
 
 def _build(depth, sizes, seed, cache):
     """One database of ``depth + 1`` chained classes with identical data
     for every cache cell: Chain0 is the leaf, each Chain{k} references a
-    Chain{k-1} drawn by the shared rng."""
+    Chain{k-1} drawn by the shared rng, through a binary join index."""
     db = MoodDatabase(buffer_capacity=16, cache_enabled=cache)
     db.execute("CREATE CLASS Chain0 TUPLE (val Integer, pad String(120))")
     for level in range(1, depth + 1):
@@ -39,6 +43,7 @@ def _build(depth, sizes, seed, cache):
             f"CREATE CLASS Chain{level} TUPLE (val Integer, "
             f"ref REFERENCE (Chain{level - 1}), pad String(120))"
         )
+        db.execute(f"CREATE INDEX ref{level} ON Chain{level} (ref) USING join")
     rng = random.Random(seed)
     pad = "x" * 90  # several objects per page, but more pages than frames
     levels = [[
@@ -74,12 +79,12 @@ def _multiset(binding_rows):
     )
 
 
-def _forced_plan(db, sql):
+def _forced_plan(db, sql, method="FORWARD_TRAVERSAL"):
     plan = db.kernel.planner().plan_query(parse(sql))
 
     def force(node):
         if isinstance(node, JoinNode):
-            node.method = "FORWARD_TRAVERSAL"
+            node.method = method
         for child in node.children():
             force(child)
 
@@ -87,11 +92,11 @@ def _forced_plan(db, sql):
     return plan
 
 
-def _forced_cold_run(db, sql, fuse):
-    """Execute ``sql`` as a forced forward-traversal plan -- fused when
+def _forced_cold_run(db, sql, method, fuse=False):
+    """Execute ``sql`` with every join forced to ``method`` -- fused when
     ``fuse`` -- from a cold buffer and cold object cache; returns (row
     multiset, charged page I/O)."""
-    plan = _forced_plan(db, sql)
+    plan = _forced_plan(db, sql, method)
     if fuse:
         fuse_query_plan(plan)
     db.kernel.objects.invalidate_cache()
@@ -157,16 +162,22 @@ def test_four_way_matrix_row_equivalence_and_io(
             assert rows == baseline, (sql, label)
 
     forced = {
-        (label, fuse): _forced_cold_run(db, whole, fuse)
+        (label, method, False): _forced_cold_run(db, whole, method)
         for label, (db, _) in cells.items()
-        for fuse in (True, False)
+        for method in METHODS
     }
-    baseline_rows = forced["paper", False][0]
+    forced.update({
+        (label, "FORWARD_TRAVERSAL", True):
+            _forced_cold_run(db, whole, "FORWARD_TRAVERSAL", fuse=True)
+        for label, (db, _) in cells.items()
+    })
+    baseline_rows = forced["paper", "FORWARD_TRAVERSAL", False][0]
     for key, (rows, _) in forced.items():
         assert rows == baseline_rows, key
 
     # Charged I/O: with the cache on, fusion never costs more.
-    assert forced["cache", True][1] <= forced["cache", False][1]
+    assert forced["cache", "FORWARD_TRAVERSAL", True][1] <= \
+        forced["cache", "FORWARD_TRAVERSAL", False][1]
 
 
 def test_matrix_agrees_after_ddl_and_restart():

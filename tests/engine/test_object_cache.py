@@ -53,14 +53,72 @@ def test_cached_object_is_isolated_from_caller_mutation(small_db):
     assert small_db.get(oid).state["cylinders"] != -999
 
 
-def test_deref_many_returns_each_distinct_oid_once(small_db):
-    oids = [o.oid for o in small_db.extent("Company")[:10]]
-    fetched = small_db.kernel.objects.deref_many(oids + oids)
-    assert set(fetched) == set(oids)
-    for oid, obj in fetched.items():
-        assert obj.oid == oid
-    assert small_db.object_cache.stats.batches >= 1
-    assert small_db.object_cache.stats.batched_oids >= len(oids)
+def test_deref_many_returns_one_object_per_oid_in_caller_order():
+    """``deref_many`` answers every entry in caller order, duplicates
+    included; the store decides the charge: with the cache off exactly a
+    per-OID ``deref`` loop, with it on each distinct OID read once and one
+    read per page from a cold buffer."""
+    db = MoodDatabase(buffer_capacity=4)
+    build_paper_database(db, scale=120, seed=5)
+    objects = db.kernel.objects
+    # Shuffled across pages, so the uncached charge depends on the order.
+    oids = sorted((o.oid for o in db.extent("Company")),
+                  key=lambda o: (o.slot, o.page))
+    batch = oids + oids
+    pages = {oid.page for oid in oids}
+
+    db.set_cache_enabled(False)
+    _cold_buffer(db)
+    probe = db.io_probe()
+    for oid in batch:
+        objects.deref(oid)
+    loop = db.io_since(probe)
+    _cold_buffer(db)
+    probe = db.io_probe()
+    fetched = objects.deref_many(batch)
+    uncached = db.io_since(probe)
+    assert [obj.oid for obj in fetched] == batch
+    assert (uncached.random_reads, uncached.sequential_reads) == \
+        (loop.random_reads, loop.sequential_reads)
+    assert uncached.elapsed_ms == pytest.approx(loop.elapsed_ms)
+    assert uncached.page_reads > len(pages)
+
+    db.set_cache_enabled(True)
+    _cold_buffer(db)
+    probe = db.io_probe()
+    fetched = objects.deref_many(batch)
+    assert [obj.oid for obj in fetched] == batch
+    assert db.io_since(probe).page_reads == len(pages)
+    stats = db.object_cache.stats
+    assert (stats.misses, stats.batches, stats.batched_oids) == \
+        (len(oids), 1, len(oids))
+
+
+def test_warm_charges_nothing_with_the_cache_off():
+    """``warm`` is free without a cache; with one it charges the walk once
+    and leaves every object on the path resident."""
+    db = MoodDatabase(buffer_capacity=4)
+    build_paper_database(db, scale=40, seed=11)
+    objects = db.kernel.objects
+    vehicles = db.extent("Vehicle")
+    path = ("drivetrain", "engine", "cylinders")
+
+    db.set_cache_enabled(False)
+    _cold_buffer(db)
+    probe = db.io_probe()
+    objects.warm(vehicles, path)
+    assert db.io_since(probe).page_ios == 0
+
+    db.set_cache_enabled(True)
+    _cold_buffer(db)
+    probe = db.io_probe()
+    objects.warm(vehicles, path)
+    assert db.io_since(probe).page_ios > 0
+    probe = db.io_probe()
+    for vehicle in vehicles:
+        objects.deref(objects.deref(vehicle.state["drivetrain"])
+                      .state["engine"])
+    assert db.io_since(probe).page_ios == 0
 
 
 def test_deref_many_clusters_reads_by_page():
@@ -463,9 +521,9 @@ def test_fused_hop_sees_alter_rename_mid_batch(small_db):
 
 
 def test_fused_hop_update_equivalent_when_batching_disabled(small_db):
-    """The same mid-traversal write with the cache off (so batched
-    dereferencing is off too: per-OID chasing) yields the same rows --
-    the invalidation story is gate-independent."""
+    """The same mid-traversal write with the cache off (so ``deref_many``
+    chases per OID) yields the same rows -- the invalidation story does
+    not depend on how the store charges a batch."""
     engine = small_db.extent("VehicleEngine")[0]
 
     def mutate(db):
