@@ -461,6 +461,13 @@ class Catalog:
     def named_objects(self) -> dict[str, OID]:
         return dict(self._named)
 
+    def follow_moves(self, mapping: dict[OID, OID]) -> None:
+        """Re-point in-memory name bindings at relocated objects; the
+        stored binding records are rewritten like any other reference."""
+        for name, oid in self._named.items():
+            if oid in mapping:
+                self._named[name] = mapping[oid]
+
     # -- index metadata ---------------------------------------------------------
 
     def define_index(

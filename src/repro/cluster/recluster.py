@@ -7,13 +7,12 @@ and executes them batch by batch.  A batch is one ordinary transaction:
    plus the catalog's system files -- relocation re-identifies objects,
    so any record anywhere may need its stored references rewritten;
 2. allocate fresh target pages and :meth:`StorageManager.relocate` each
-   group member onto them (WAL ``MOVE`` + page images: crash-safe);
+   group member onto them -- ordinary logged writes (WAL ``MOVE`` + page
+   images: crash-safe) that give the member a new OID and leave no stub;
 3. rewrite every stored reference to a moved OID (a full scan applying
    the old->new mapping to each record's decoded state), remap index
    entries, re-point named roots and catalog name bindings, and re-home
-   object-cache entries;
-4. reclaim the forwarding stubs the moves left (nothing resolves through
-   the old OIDs any more) and commit.
+   object-cache entries; then commit.
 
 A lock timeout aborts only the current batch -- the WAL undoes its page
 images -- and the run resumes at the next tick, so foreground statements
@@ -129,7 +128,6 @@ class Reclusterer:
         self.pages_allocated = 0
         self.ref_rewrites = 0
         self.index_rewrites = 0
-        self.stubs_reclaimed = 0
         self.lock_timeouts = 0
         self.last_gain = 1.0
         self.last_run_at = 0.0
@@ -155,12 +153,9 @@ class Reclusterer:
         return max(2, (extent.page_size - 4) // avg)
 
     def _page_of(self, extent, oid: OID):
-        """The page a (possibly forwarded) record currently lives on."""
-        try:
-            with self.storage.latch:
-                return extent.resolve_oid(oid).page
-        except (RecordNotFoundError, StorageError):
-            return None
+        """The page of ``oid``'s record, or None once it is gone."""
+        with self.storage.latch:
+            return oid.page if extent.exists(oid) else None
 
     def plan(self) -> list[PlacementPlan]:
         """Current placement plans, one per class with co-access edges."""
@@ -295,7 +290,7 @@ class Reclusterer:
                     target = self._allocate_target(extent, txn)
                     new_oid = storage.relocate(extent, oid, target, txn)
                 except (RecordNotFoundError, StorageError):
-                    continue  # concurrently deleted or already re-identified
+                    continue  # deleted since planning
                 if new_oid != oid:
                     mapping[oid] = new_oid
 
@@ -310,9 +305,7 @@ class Reclusterer:
             self.objects.note_relocation(class_name, old_oid, new_oid)
         rewrites = self._rewrite_references(mapping, txn)
         index_rewrites = self.indexes.remap_oids(mapping)
-        self._rebind_names(mapping, txn)
-        for old_oid in mapping:
-            storage.reclaim_stub(extent, old_oid, txn)
+        self._rebind_names(mapping)
         txn.commit()
 
         moves = len(mapping)
@@ -320,7 +313,6 @@ class Reclusterer:
         self.batches_done += 1
         self.ref_rewrites += rewrites
         self.index_rewrites += index_rewrites
-        self.stubs_reclaimed += moves
         self.pages_compacted += max(0, len(pages_before) - len(
             {new.page for new in mapping.values()}
         ))
@@ -336,13 +328,7 @@ class Reclusterer:
 
     def _allocate_target(self, extent, txn) -> int:
         """A fresh, WAL-covered, page-map-registered target page."""
-        with self.storage.latch:
-            self.storage.buffer.start_capture()
-            try:
-                page_no = extent.allocate_page()
-            finally:
-                changes = self.storage.buffer.end_capture()
-            self.storage._log_changes(txn, changes)
+        page_no = self.storage.allocate_page(extent, txn)
         self.pages_allocated += 1
         self._counters.pages_allocated.inc()
         return page_no
@@ -365,25 +351,16 @@ class Reclusterer:
                     rewrites += 1
         return rewrites
 
-    def _rebind_names(self, mapping: dict[OID, OID], txn) -> None:
-        """Re-point named roots and catalog name bindings at moved OIDs."""
+    def _rebind_names(self, mapping: dict[OID, OID]) -> None:
+        """Re-point named roots and the catalog's in-memory name bindings
+        at moved OIDs.  The stored bindings are records of the names
+        system file, which the reference rewrite already covered."""
         storage = self.storage
         for name in storage.root_names():
             root = storage.get_root(name)
             if root in mapping:
                 storage.set_root(name, mapping[root])
-        for name, oid in self.catalog.named_objects().items():
-            if oid in mapping:
-                # bind_name persists through the names system file, whose
-                # pages the generic reference rewrite already covered; this
-                # keeps the catalog's in-memory map in step.
-                with storage.latch:
-                    storage.buffer.start_capture()
-                    try:
-                        self.catalog.bind_name(name, mapping[oid])
-                    finally:
-                        changes = storage.buffer.end_capture()
-                    storage._log_changes(txn, changes)
+        self.catalog.follow_moves(mapping)
 
     # -- status --------------------------------------------------------------
 
@@ -398,7 +375,6 @@ class Reclusterer:
             "pages_compacted": self.pages_compacted,
             "ref_rewrites": self.ref_rewrites,
             "index_rewrites": self.index_rewrites,
-            "stubs_reclaimed": self.stubs_reclaimed,
             "lock_timeouts": self.lock_timeouts,
             "estimated_gain": round(self.last_gain, 3),
             "coaccess_edges": len(self.coaccess),

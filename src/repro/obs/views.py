@@ -225,7 +225,6 @@ CLUSTERING_COLUMNS: tuple[tuple[str, str], ...] = (
     ("pages_compacted", "Integer"),
     ("ref_rewrites", "Integer"),
     ("index_rewrites", "Integer"),
-    ("stubs_reclaimed", "Integer"),
     ("lock_timeouts", "Integer"),
     ("estimated_gain", "Float"),
     ("coaccess_edges", "Integer"),

@@ -12,21 +12,24 @@ Record wire format: a one-byte tag followed by the payload.
 tag     meaning
 ====== ==========================================================
 DATA    record body lives here, addressed by this slot's OID
-FWD     stub; payload is the OID the record moved to
-MOVED   relocated body; reachable only through its FWD stub
+FWD     stub; payload is the OID of the record's MOVED body
+MOVED   a record's body away from home; reachable only through its stub
 ====== ==========================================================
 
-Two kinds of stub share the FWD tag, distinguished by what they point at:
+There is one kind of stub.  ``FWD -> MOVED`` is always exactly one hop:
+the record's identity stays at the stub's OID, every reader follows the
+stub once, and moving the body again re-points the stub instead of
+chaining a second one.
 
-* ``FWD -> MOVED`` -- the classic oversized-update stub.  The record's
-  identity stays at the stub's OID; the MOVED body is an unaddressable
-  continuation, and an in-place-again update brings the body home.
-* ``FWD -> DATA`` -- left by :meth:`StorageFile.relocate`.  The record
-  was *re-identified*: the DATA record on the target page is the live
-  object under its own (new) OID, and the stub only keeps the old OID
-  resolvable until every inbound reference is rewritten and the stub
-  slot reclaimed (:meth:`StorageFile.reclaim_stub`).  Reads follow stub
-  chains and snap them down to one hop.
+:meth:`StorageFile.relocate` is the other way a record changes page: it
+gives the record a *new identity* on the target page and frees the old
+slot in the same write, leaving no stub.  Its caller (the reclusterer)
+rewrites every stored reference to the new OID inside the same
+transaction, so nothing ever resolves through the old one.
+
+Every page change of a record or body -- oversize growth and relocation
+alike -- is reported through :attr:`StorageFile.on_move`; the storage
+manager logs it as one ``MOVE`` record.
 """
 
 from __future__ import annotations
@@ -47,25 +50,24 @@ _TAG_DATA = 0
 _TAG_FWD = 1
 _TAG_MOVED = 2
 
+#: A packed OID: the payload of a stub and of a ``MOVE`` log record.
 _FWD = struct.Struct("<III")
 
-#: Forwarding chains longer than this are corrupt (a cycle): relocation
-#: only ever appends one hop, and reads snap chains back down to one.
-_MAX_HOPS = 16
+
+def _stub(target: OID) -> bytes:
+    return bytes([_TAG_FWD]) + _FWD.pack(target.volume, target.page,
+                                         target.slot)
 
 
 class StorageCounters:
     """Pre-resolved ``storage.*`` registry counters, shared by every file
     of a storage manager (attach via :class:`~repro.storage.manager`)."""
 
-    __slots__ = ("forwards_followed", "forwards_snapped", "relocations",
-                 "stubs_reclaimed")
+    __slots__ = ("forwards_followed", "relocations")
 
     def __init__(self, component):
         self.forwards_followed = component.counter("forwards_followed")
-        self.forwards_snapped = component.counter("forwards_snapped")
         self.relocations = component.counter("relocations")
-        self.stubs_reclaimed = component.counter("stubs_reclaimed")
 
 
 class StorageFile:
@@ -85,6 +87,9 @@ class StorageFile:
         #: ``on_new_page(page_no)`` fires whenever the file grows; the
         #: object manager keeps its page->class map current through it.
         self.on_new_page = None
+        #: ``on_move(source, target)`` fires whenever a record or its body
+        #: lands on another page; the storage manager logs it as ``MOVE``.
+        self.on_move = None
 
     # -- capacity ------------------------------------------------------------
 
@@ -104,7 +109,13 @@ class StorageFile:
 
     # -- page helpers ----------------------------------------------------------
 
-    def _new_page(self) -> int:
+    def allocate_page(self) -> int:
+        """Allocate, format and register a fresh empty page.
+
+        Ordinary inserts grow the file through ``_place``; the
+        reclusterer calls this to lay out the pages it then fills
+        explicitly via :meth:`relocate`.
+        """
         page_no = self.buffer.disk.allocate_page(self.volume)
         frame = self.buffer.fetch(self.volume, page_no)
         SlottedPage.format(frame)
@@ -114,15 +125,6 @@ class StorageFile:
         if self.on_new_page is not None:
             self.on_new_page(page_no)
         return page_no
-
-    def allocate_page(self) -> int:
-        """Allocate, format and register a fresh empty page.
-
-        The reclusterer uses this to lay out relocation targets it then
-        fills explicitly via :meth:`relocate`; ordinary inserts keep
-        growing the file through ``_place``.
-        """
-        return self._new_page()
 
     def _page(self, page_no: int) -> SlottedPage:
         return SlottedPage(self.buffer.fetch(self.volume, page_no))
@@ -151,7 +153,7 @@ class StorageFile:
                 return slot, page_no
             self.buffer.unpin(self.volume, page_no, dirty=False)
             self._free_hints.pop()
-        page_no = self._new_page()
+        page_no = self.allocate_page()
         page = self._page(page_no)
         slot = page.insert(record)
         self.buffer.unpin(self.volume, page_no, dirty=True)
@@ -168,102 +170,76 @@ class StorageFile:
             self.buffer.unpin(self.volume, oid.page, dirty=False)
         return raw
 
+    def _home(self, oid: OID) -> bytes:
+        """The raw record at ``oid``, which must be a record's home (DATA
+        or a stub), never a body reachable only through its stub."""
+        raw = self._read_raw(oid)
+        if raw[0] == _TAG_MOVED:
+            raise RecordNotFoundError(
+                f"OID {oid} addresses a forwarded body, not a record"
+            )
+        return raw
+
     @staticmethod
     def _stub_target(raw: bytes) -> OID:
         return OID(*_FWD.unpack(raw[1:1 + _FWD.size]))
 
-    @staticmethod
-    def _stub_bytes(target: OID) -> bytes:
-        return bytes([_TAG_FWD]) + _FWD.pack(
-            target.volume, target.page, target.slot
-        )
-
-    def _resolve(self, oid: OID) -> tuple[OID, bytes]:
-        """Follow forwarding stubs from ``oid`` to the record body; return
-        ``(body_oid, raw)``.  Chains of two or more hops are snapped: the
-        entry stub is rewritten to point straight at the body (an
-        idempotent physical optimisation -- losing it in a crash merely
-        restores the longer chain)."""
-        raw = self._read_raw(oid)
-        if raw[0] == _TAG_MOVED:
-            raise RecordNotFoundError(
-                f"OID {oid} addresses a relocated body, not a record"
-            )
-        current = oid
-        hops = 0
-        while raw[0] == _TAG_FWD:
-            if hops >= _MAX_HOPS:
-                raise StorageError(f"forwarding cycle at {oid}")
-            current = self._stub_target(raw)
-            raw = self._read_raw(current)
-            hops += 1
-            if self.counters is not None:
-                self.counters.forwards_followed.inc()
-        if raw[0] not in (_TAG_DATA, _TAG_MOVED):
-            raise StorageError(f"dangling forwarding stub at {oid}")
-        if hops >= 2:
-            self._snap(oid, current)
-        return current, raw
-
-    def _snap(self, oid: OID, body: OID) -> None:
-        """Rewrite the stub at ``oid`` to point directly at ``body``."""
-        page = self._page(oid.page)
-        try:
-            page.update(oid.slot, self._stub_bytes(body))
-        except PageFullError:
-            self.buffer.unpin(self.volume, oid.page, dirty=False)
-            return
-        self.buffer.unpin(self.volume, oid.page, dirty=True)
+    def _follow(self, stub: bytes) -> bytes:
+        """The raw MOVED body one hop from the raw ``stub``."""
         if self.counters is not None:
-            self.counters.forwards_snapped.inc()
+            self.counters.forwards_followed.inc()
+        target = self._stub_target(stub)
+        body = self._read_raw(target)
+        if body[0] != _TAG_MOVED:
+            raise StorageError(f"forwarding stub to {target} finds no body")
+        return body
 
     def read(self, oid: OID) -> bytes:
-        """Read a record payload, following forwarding stubs transparently."""
-        _, raw = self._resolve(oid)
+        """Read a record payload, following its forwarding stub."""
+        raw = self._home(oid)
+        if raw[0] == _TAG_FWD:
+            raw = self._follow(raw)
         return raw[1:]
 
-    def resolve_oid(self, oid: OID) -> OID:
-        """The OID a record actually lives under: ``oid`` itself for DATA
-        and legacy oversize stubs, the relocated identity for FWD->DATA."""
-        body_oid, raw = self._resolve(oid)
-        return body_oid if raw[0] == _TAG_DATA else oid
-
     def update(self, oid: OID, payload: bytes) -> None:
-        """Replace the record at ``oid`` in place, relocating if needed."""
+        """Replace the record at ``oid``, keeping its OID.  A record that
+        no longer fits at home moves its body to a page with room and
+        leaves a stub; a forwarded record drops its old body and comes
+        home again when it fits.  Raises :class:`PageFullError`, changing
+        nothing, when the home page cannot even hold the stub."""
         if len(payload) > self.max_payload():
             raise StorageError("updated record exceeds page capacity")
-        raw = self._read_raw(oid)
-        tag = raw[0]
-        if tag == _TAG_MOVED:
-            raise RecordNotFoundError(
-                f"OID {oid} addresses a relocated body, not a record"
-            )
-        if tag == _TAG_FWD:
-            target = self._stub_target(raw)
-            body = self._read_raw(target)
-            if body[0] != _TAG_MOVED:
-                # Relocated identity: the live record is at ``target``.
-                if self.counters is not None:
-                    self.counters.forwards_followed.inc()
-                self.update(target, payload)
-                return
-            # Oversize stub: drop the old body and bring the record home.
-            self._delete_raw(target)
+        raw = self._home(oid)
+        if raw[0] == _TAG_FWD:
+            self._delete_raw(self._stub_target(raw))
         page = self._page(oid.page)
         try:
             page.update(oid.slot, bytes([_TAG_DATA]) + payload)
+        except PageFullError:
+            try:
+                # Claim the stub's room before the body moves anywhere.
+                page.update(oid.slot, _stub(oid))
+            except PageFullError:
+                self.buffer.unpin(self.volume, oid.page, dirty=False)
+                raise
+        else:
             self.buffer.unpin(self.volume, oid.page, dirty=True)
             return
-        except PageFullError:
-            self.buffer.unpin(self.volume, oid.page, dirty=False)
-        # Relocate the body and leave a stub.
+        self.buffer.unpin(self.volume, oid.page, dirty=True)
         slot, page_no = self._place(bytes([_TAG_MOVED]) + payload)
-        target = OID(self.volume, page_no, slot)
+        body = OID(self.volume, page_no, slot)
         page = self._page(oid.page)
         try:
-            page.update(oid.slot, self._stub_bytes(target))
+            page.update(oid.slot, _stub(body))
         finally:
             self.buffer.unpin(self.volume, oid.page, dirty=True)
+        self._moved(oid, body)
+
+    def _moved(self, source: OID, target: OID) -> None:
+        if self.counters is not None:
+            self.counters.relocations.inc()
+        if self.on_move is not None:
+            self.on_move(source, target)
 
     def _delete_raw(self, oid: OID) -> None:
         page = self._page(oid.page)
@@ -274,66 +250,38 @@ class StorageFile:
         if oid.page not in self._free_hints:
             self._free_hints.append(oid.page)
 
-    def delete(self, oid: OID) -> None:
-        raw = self._read_raw(oid)
-        tag = raw[0]
-        if tag == _TAG_MOVED:
-            raise RecordNotFoundError(
-                f"OID {oid} addresses a relocated body, not a record"
-            )
-        if tag == _TAG_FWD:
-            target = self._stub_target(raw)
-            body = self._read_raw(target)
-            if body[0] != _TAG_MOVED:
-                # Relocated identity: delete the live record, then this
-                # stub (the recursion already adjusted the record count).
-                if self.counters is not None:
-                    self.counters.forwards_followed.inc()
-                self.delete(target)
-                self._delete_raw(oid)
-                return
-            self._delete_raw(target)
+    def _drop(self, oid: OID, raw: bytes) -> None:
+        """Free the home slot ``oid`` (holding ``raw``) and its body."""
+        if raw[0] == _TAG_FWD:
+            self._delete_raw(self._stub_target(raw))
         self._delete_raw(oid)
+
+    def delete(self, oid: OID) -> None:
+        self._drop(oid, self._home(oid))
         self._record_count -= 1
 
     # -- relocation ------------------------------------------------------------
 
     def relocate(self, oid: OID, target_page: int) -> OID:
-        """Move the record at ``oid`` onto ``target_page``; return its new
-        OID.
+        """Move the record at ``oid`` onto ``target_page`` under a new
+        identity; return its new OID.
 
-        The body is written as a DATA record with a *fresh identity* on
-        the target page, and the home slot becomes a forwarding stub so
-        reads through the old OID keep working until inbound references
-        are rewritten and the stub is reclaimed.  A legacy oversize stub
-        is consolidated: its MOVED continuation is folded into the new
-        DATA record and freed.  Raises :class:`PageFullError` (leaving
-        everything in place) when the target page lacks room.
+        The record (its body, if forwarded) is written as a DATA record
+        on the target page, then the old slot and any old body are freed:
+        no stub stays behind, so the caller must rewrite every stored
+        reference to the new OID in the same transaction.  Raises
+        :class:`PageFullError` (leaving everything in place) when the
+        target page lacks room.
         """
         if target_page not in self._page_set:
             raise StorageError(
                 f"page {target_page} is not in file {self.file_id}"
             )
-        raw = self._read_raw(oid)
-        tag = raw[0]
-        if tag == _TAG_MOVED:
-            raise RecordNotFoundError(
-                f"OID {oid} addresses a relocated body, not a record"
-            )
-        old_body: OID | None = None
-        if tag == _TAG_FWD:
-            target = self._stub_target(raw)
-            body = self._read_raw(target)
-            if body[0] != _TAG_MOVED:
-                raise StorageError(
-                    f"{oid} forwards to a relocated identity; "
-                    f"relocate {target} instead"
-                )
-            old_body = target
-            raw = body
-        elif oid.page == target_page:
+        raw = self._home(oid)
+        if raw[0] == _TAG_DATA and oid.page == target_page:
             return oid  # already where it belongs
-        record = bytes([_TAG_DATA]) + raw[1:]
+        body = self._follow(raw) if raw[0] == _TAG_FWD else raw
+        record = bytes([_TAG_DATA]) + body[1:]
         page = self._page(target_page)
         try:
             slot = page.insert(record)
@@ -342,41 +290,9 @@ class StorageFile:
             raise
         self.buffer.unpin(self.volume, target_page, dirty=True)
         new_oid = OID(self.volume, target_page, slot)
-        stub = self._stub_bytes(new_oid)
-        page = self._page(oid.page)
-        try:
-            page.update(oid.slot, stub)
-        except PageFullError:
-            self.buffer.unpin(self.volume, oid.page, dirty=False)
-            self._delete_raw(new_oid)  # back out: original still in place
-            raise
-        self.buffer.unpin(self.volume, oid.page, dirty=True)
-        if old_body is not None:
-            self._delete_raw(old_body)
-        if self.counters is not None:
-            self.counters.relocations.inc()
+        self._drop(oid, raw)
+        self._moved(oid, new_oid)
         return new_oid
-
-    def reclaim_stub(self, oid: OID) -> None:
-        """Free the forwarding-stub slot at ``oid`` once nothing resolves
-        records through the old OID any more.  Refuses to reclaim an
-        oversize stub (``FWD -> MOVED``): that stub *is* the record's
-        identity and dropping it would strand the body."""
-        raw = self._read_raw(oid)
-        if raw[0] != _TAG_FWD:
-            raise StorageError(f"{oid} is not a forwarding stub")
-        target = self._stub_target(raw)
-        try:
-            body = self._read_raw(target)
-        except (RecordNotFoundError, StorageError):
-            body = None  # chain already partially reclaimed
-        if body is not None and body[0] == _TAG_MOVED:
-            raise StorageError(
-                f"{oid} still owns its relocated body at {target}"
-            )
-        self._delete_raw(oid)
-        if self.counters is not None:
-            self.counters.stubs_reclaimed.inc()
 
     def exists(self, oid: OID) -> bool:
         try:
@@ -388,13 +304,9 @@ class StorageFile:
     # -- scans ------------------------------------------------------------
 
     def scan(self) -> Iterator[tuple[OID, bytes]]:
-        """Yield every live record as ``(oid, payload)`` in page order.
-
-        Oversize-update bodies (``FWD -> MOVED``) are reported under their
-        home (stub) OID, where the record's identity lives.  Stubs left by
-        :meth:`relocate` (``FWD -> DATA``) are skipped: the relocated
-        record is a live DATA record yielded under its own (new) OID.
-        """
+        """Yield every live record as ``(oid, payload)`` in page order; a
+        forwarded record is reported under its home (stub) OID, where its
+        identity lives."""
         for page_no in list(self.pages):
             page = self._page(page_no)
             try:
@@ -402,16 +314,10 @@ class StorageFile:
             finally:
                 self.buffer.unpin(self.volume, page_no, dirty=False)
             for slot, raw in entries:
-                tag = raw[0]
-                if tag == _TAG_DATA:
+                if raw[0] == _TAG_DATA:
                     yield OID(self.volume, page_no, slot), raw[1:]
-                elif tag == _TAG_FWD:
-                    target = OID(*_FWD.unpack(raw[1:1 + _FWD.size]))
-                    body = self._read_raw(target)
-                    if body[0] == _TAG_MOVED:
-                        yield OID(self.volume, page_no, slot), body[1:]
-                    # FWD -> DATA / FWD -> FWD: the live record appears
-                    # under its own OID elsewhere in the scan.
+                elif raw[0] == _TAG_FWD:
+                    yield OID(self.volume, page_no, slot), self._follow(raw)[1:]
                 # MOVED bodies are reached through their stubs only.
 
     def oids(self) -> list[OID]:

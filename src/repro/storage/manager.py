@@ -8,7 +8,9 @@ class is the 'ESM' the rest of the reproduction talks to:
 * volumes/pages/buffering over the simulated disk,
 * record files addressed by OID,
 * B+-tree, extendible-hash and R-tree indexes wired into I/O accounting,
-* transactions with strict file-level 2PL and physical WAL,
+* transactions with strict file-level 2PL and physical WAL -- every write
+  (insert, update, delete, relocation, page allocation) goes through one
+  logged-write path, :meth:`StorageManager._write`,
 * crash and restart-recovery simulation,
 * named roots (persistent entry points used to bootstrap the catalog).
 """
@@ -67,17 +69,20 @@ class StorageManager:
         #: pages, the buffer pool, and capture windows.  Reentrant, so
         #: nested storage calls under a session's statement are free.
         self.latch = self.txns.latch
-        #: Forwarding/relocation counters (``storage.*``), shared by every
-        #: file so chain-following and stub work is visible fleet-wide.
+        #: Move/forwarding counters (``storage.*``), shared by every file
+        #: so moves and stub hops are visible fleet-wide.
         self.storage_counters = StorageCounters(
             self.metrics.component("storage")
         )
         self._files: dict[int, StorageFile] = {}
         self._file_names: dict[str, int] = {}
         self._next_file_id = 1
-        #: Test hook: called between a relocation's MOVE log record and
-        #: its page writes (None in production).
-        self._relocate_failpoint = None
+        #: The transaction of the logged write in progress: like the
+        #: capture window, only meaningful under the latch (see _write).
+        self._writer: Transaction | None = None
+        #: Test hook: called right after a MOVE log record is appended,
+        #: before its write's page images are logged (None in production).
+        self._move_failpoint = None
         self._btrees: dict[str, BPlusTree] = {}
         self._hashes: dict[str, ExtendibleHashIndex] = {}
         self._rtrees: dict[str, RTree] = {}
@@ -118,6 +123,7 @@ class StorageManager:
         self._next_file_id += 1
         storage_file = StorageFile(file_id, self.volume, self.buffer)
         storage_file.counters = self.storage_counters
+        storage_file.on_move = self._log_move
         self._files[file_id] = storage_file
         if name is not None:
             if name in self._file_names:
@@ -149,22 +155,53 @@ class StorageManager:
 
     # -- record operations (transaction-aware) -------------------------------
 
+    def _write(self, storage_file: StorageFile, txn: Transaction | None,
+               op, *args):
+        """The one logged-write path: run ``op(*args)`` against
+        ``storage_file``.
+
+        Without a transaction the write is unlogged.  Under one, it takes
+        the X lock on the file, then runs under the latch inside a page
+        capture window (the latch keeps the window, a global LIFO on the
+        buffer pool, paired with exactly this operation's page writes).
+        Every record or body the write moves to another page is logged as
+        a ``MOVE`` record the moment it moves (:meth:`_log_move`), and the
+        page images the window captured follow as ``UPDATE`` records.
+        """
+        if txn is None:
+            return op(*args)
+        self.txns.lock_exclusive(txn, ("file", storage_file.file_id))
+        with self.latch:
+            self._writer = txn
+            self.buffer.start_capture()
+            try:
+                result = op(*args)
+            finally:
+                changes = self.buffer.end_capture()
+                self._writer = None
+            for (volume, page_no), before, after in changes:
+                self.txns.log_page_update(txn, volume, page_no, before, after)
+        return result
+
+    def _log_move(self, source: OID, target: OID) -> None:
+        """``StorageFile.on_move``: inside a logged write, append the
+        logical ``MOVE`` record -- packed source and target OIDs, no page
+        bytes -- ahead of the write's page images."""
+        if self._writer is None:
+            return
+        self.wal.append(
+            LogKind.MOVE, self._writer.txn_id,
+            volume=source.volume, page_no=source.page,
+            before=_FWD.pack(source.volume, source.page, source.slot),
+            after=_FWD.pack(target.volume, target.page, target.slot),
+        )
+        if self._move_failpoint is not None:
+            self._move_failpoint()
+
     def insert(
         self, storage_file: StorageFile, payload: bytes, txn: Transaction | None = None
     ) -> OID:
-        if txn is None:
-            return storage_file.insert(payload)
-        self.txns.lock_exclusive(txn, ("file", storage_file.file_id))
-        # The latch keeps the capture window (a global LIFO on the buffer
-        # pool) paired with exactly this operation's page writes.
-        with self.latch:
-            self.buffer.start_capture()
-            try:
-                oid = storage_file.insert(payload)
-            finally:
-                changes = self.buffer.end_capture()
-            self._log_changes(txn, changes)
-        return oid
+        return self._write(storage_file, txn, storage_file.insert, payload)
 
     def read(
         self, storage_file: StorageFile, oid: OID, txn: Transaction | None = None
@@ -180,32 +217,12 @@ class StorageManager:
         payload: bytes,
         txn: Transaction | None = None,
     ) -> None:
-        if txn is None:
-            storage_file.update(oid, payload)
-            return
-        self.txns.lock_exclusive(txn, ("file", storage_file.file_id))
-        with self.latch:
-            self.buffer.start_capture()
-            try:
-                storage_file.update(oid, payload)
-            finally:
-                changes = self.buffer.end_capture()
-            self._log_changes(txn, changes)
+        self._write(storage_file, txn, storage_file.update, oid, payload)
 
     def delete(
         self, storage_file: StorageFile, oid: OID, txn: Transaction | None = None
     ) -> None:
-        if txn is None:
-            storage_file.delete(oid)
-            return
-        self.txns.lock_exclusive(txn, ("file", storage_file.file_id))
-        with self.latch:
-            self.buffer.start_capture()
-            try:
-                storage_file.delete(oid)
-            finally:
-                changes = self.buffer.end_capture()
-            self._log_changes(txn, changes)
+        self._write(storage_file, txn, storage_file.delete, oid)
 
     def scan(
         self, storage_file: StorageFile, txn: Transaction | None = None
@@ -221,56 +238,20 @@ class StorageManager:
         target_page: int,
         txn: Transaction | None = None,
     ) -> OID:
-        """Crash-safe object relocation: move ``oid``'s record onto
-        ``target_page`` and return its new OID.
+        """Move ``oid``'s record onto ``target_page`` under a new identity
+        (see ``StorageFile.relocate``) and return its new OID.  Logged like
+        any other write: the ``MOVE`` record, then the page images, so a
+        crash at any point leaves exactly one live copy."""
+        return self._write(
+            storage_file, txn, storage_file.relocate, oid, target_page
+        )
 
-        Under a transaction the move is bracketed by a single logical
-        ``MOVE`` log record followed by the physical page images it
-        caused.  A crash after the MOVE record but before the page writes
-        makes the transaction a loser with nothing to undo for the move;
-        a crash after the page writes undoes them from before-images --
-        either way exactly one live copy survives, at exactly one of the
-        two placements.
-        """
-        if txn is None:
-            return storage_file.relocate(oid, target_page)
-        self.txns.lock_exclusive(txn, ("file", storage_file.file_id))
-        with self.latch:
-            self.buffer.start_capture()
-            try:
-                self.wal.append(
-                    LogKind.MOVE, txn.txn_id,
-                    volume=oid.volume, page_no=oid.page,
-                    before=_FWD.pack(oid.volume, oid.page, oid.slot),
-                    after=_FWD.pack(oid.volume, target_page, 0),
-                )
-                if self._relocate_failpoint is not None:
-                    self._relocate_failpoint()
-                new_oid = storage_file.relocate(oid, target_page)
-            finally:
-                changes = self.buffer.end_capture()
-            self._log_changes(txn, changes)
-        return new_oid
-
-    def reclaim_stub(
-        self, storage_file: StorageFile, oid: OID, txn: Transaction | None = None
-    ) -> None:
-        """Free a forwarding-stub slot (see ``StorageFile.reclaim_stub``)."""
-        if txn is None:
-            storage_file.reclaim_stub(oid)
-            return
-        self.txns.lock_exclusive(txn, ("file", storage_file.file_id))
-        with self.latch:
-            self.buffer.start_capture()
-            try:
-                storage_file.reclaim_stub(oid)
-            finally:
-                changes = self.buffer.end_capture()
-            self._log_changes(txn, changes)
-
-    def _log_changes(self, txn: Transaction, changes) -> None:
-        for (volume, page_no), before, after in changes:
-            self.txns.log_page_update(txn, volume, page_no, before, after)
+    def allocate_page(
+        self, storage_file: StorageFile, txn: Transaction | None = None
+    ) -> int:
+        """Add a fresh formatted page to ``storage_file`` (logged under
+        ``txn``, so an abort or crash frees it again)."""
+        return self._write(storage_file, txn, storage_file.allocate_page)
 
     # -- transactions -------------------------------------------------------
 

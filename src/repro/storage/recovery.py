@@ -43,13 +43,13 @@ class RecoveryReport:
     redone: int
     undone: int
     in_doubt: list[InDoubtTransaction] = field(default_factory=list)
-    #: Logical object moves (``LogKind.MOVE``) whose transaction
-    #: committed: their page images were replayed, so the relocation
-    #: survived the crash.
+    #: Logical moves (``LogKind.MOVE``: oversize growth or relocation)
+    #: whose transaction committed: their page images were replayed, so
+    #: the move survived the crash.
     moves_redone: int = 0
-    #: Logical moves belonging to losers (or run-time aborts): the
-    #: bracketed page images were undone, so the object sits at exactly
-    #: its original placement -- one live copy either way.
+    #: Logical moves belonging to losers (or run-time aborts): the page
+    #: images that followed them were undone, so the record sits at
+    #: exactly its original placement -- one live copy either way.
     moves_undone: int = 0
 
 

@@ -33,13 +33,13 @@ class LogKind(Enum):
     #: coordinator may decide commit or abort (presumed abort: a missing
     #: decision means abort).
     PREPARE = "PREPARE"
-    #: Logical object-relocation marker: the record at the source OID
-    #: (``before``, packed) is moving to the destination page (``after``,
-    #: packed OID with slot 0 -- the slot is only known once the physical
-    #: page UPDATE records that follow it land).  Carries no page image
-    #: itself: redo/undo of the move is entirely the bracketed UPDATE
-    #: records, so a crash between MOVE and its page writes makes the
-    #: transaction a loser and leaves exactly the original placement.
+    #: Logical move marker: a record or its body left the source OID
+    #: (``before``, packed) for the target OID (``after``, packed) --
+    #: oversize growth moving a body off its home page, or a relocation
+    #: re-identifying a record.  Carries no page image itself: redo/undo
+    #: of the move is entirely the UPDATE records that follow it, so a
+    #: crash between MOVE and its page images makes the transaction a
+    #: loser and leaves exactly the original placement.
     MOVE = "MOVE"
 
 

@@ -58,14 +58,15 @@ def test_recluster_moves_objects_and_preserves_rows():
     assert sorted(db.query(QUERY).rows) == rows
     status = db.reclusterer.status()
     assert status["moves"] == stats["moves"]
-    assert status["stubs_reclaimed"] == stats["moves"]
+    # Each move freed its old slot: no stub resolves a pre-move OID.
+    extent = db.kernel.catalog.extent_file("Part")
+    assert sum(not extent.exists(p.oid) for p in parts) == stats["moves"]
     assert status["last_error"] == ""
 
 
 def test_direct_api_sees_relocated_objects():
-    """Old MoodObject handles keep working: deref through a pre-move OID
-    resolves (via the stub until reclamation, via nothing after -- so the
-    engine must have rewritten its own references)."""
+    """Relocation leaves no stub to resolve a pre-move OID through, so
+    the engine must have rewritten every stored reference it holds."""
     db, parts, widgets = _build(40, 40, seed=5, cache=True)
     _train(db)
     assert db.recluster()["moves"] > 0
@@ -154,10 +155,10 @@ def test_crash_during_recluster_batch_loses_nothing():
         if calls["n"] == 10:       # partway into the batch
             raise Crashed
 
-    storage._relocate_failpoint = failpoint
+    storage._move_failpoint = failpoint
     with pytest.raises(Crashed):
         db.recluster()
-    storage._relocate_failpoint = None
+    storage._move_failpoint = None
     storage.crash()
     report = storage.restart()
     assert report.moves_undone > 0

@@ -1,11 +1,12 @@
-"""The crash-safe relocation primitive: stubs, chains, WAL MOVE records.
+"""The crash-safe relocation primitive: new identities, WAL MOVE records.
 
-Relocation re-identifies a record: the body gets a fresh OID on the
-target page and the home slot becomes a ``FWD -> DATA`` stub that keeps
-the old OID resolvable until references are rewritten and the stub is
-reclaimed.  These tests pin down the stub-kind semantics, chain
-snapping, the counters, and -- through the manager's failpoint -- that a
-crash at any point of a move leaves exactly one live copy.
+Relocation re-identifies a record: it gets a fresh OID on the target page
+and its old slot is freed in the same write -- no stub stays behind (the
+caller rewrites references in the same transaction).  The only stub left
+in the storage layer is the oversize-growth one, always one hop.  These
+tests pin down those semantics, the counters, and -- through the
+manager's failpoint -- that a crash at any point of a move leaves exactly
+one live copy.
 """
 
 import pytest
@@ -34,21 +35,31 @@ def _counter(sm, name):
 
 # -- the primitive ----------------------------------------------------------
 
-def test_relocate_moves_record_and_leaves_resolvable_stub(sm):
+def test_relocate_moves_record_under_a_new_identity(sm):
     f = sm.create_file("data")
     oid = f.insert(b"payload")
     target = f.allocate_page()
     new_oid = f.relocate(oid, target)
     assert new_oid != oid
     assert new_oid.page == target
-    # Both OIDs read the same record; the new OID is the live identity.
-    assert f.read(oid) == b"payload"
     assert f.read(new_oid) == b"payload"
-    assert f.resolve_oid(oid) == new_oid
+    assert not f.exists(oid)
     assert f.record_count() == 1
-    # The scan yields the record once, under its new identity.
     assert f.oids() == [new_oid]
+
+
+def test_relocate_frees_old_slot_and_counts(sm):
+    """No stub stays behind: the old slot is free in the same write and
+    reused by the next insert on its page."""
+    f = sm.create_file("data")
+    oid = f.insert(b"v")
+    new_oid = f.relocate(oid, f.allocate_page())
     assert _counter(sm, "relocations") == 1
+    with pytest.raises(RecordNotFoundError):
+        f.read(oid)
+    assert f.read(new_oid) == b"v"
+    assert f.record_count() == 1
+    assert f.insert(b"next") == oid
 
 
 def test_relocate_same_page_is_a_noop(sm):
@@ -81,21 +92,22 @@ def test_relocate_full_target_raises_and_leaves_record_in_place(sm):
     assert _live_copies(f, b"v" * 100) == [oid]
 
 
-def test_update_and_delete_follow_relocation_stub(sm):
+def test_update_and_delete_after_relocation_use_the_new_oid(sm):
     f = sm.create_file("data")
     oid = f.insert(b"v0")
     new_oid = f.relocate(oid, f.allocate_page())
-    f.update(oid, b"v1")            # through the old identity
+    with pytest.raises(RecordNotFoundError):
+        f.update(oid, b"v1")        # the old identity is gone
+    f.update(new_oid, b"v1")
     assert f.read(new_oid) == b"v1"
-    f.delete(oid)
-    assert not f.exists(oid)
+    f.delete(new_oid)
     assert not f.exists(new_oid)
     assert f.record_count() == 0
 
 
 def test_relocate_consolidates_oversize_stub(sm):
-    """A FWD -> MOVED record relocates as one DATA record; the MOVED
-    continuation is freed."""
+    """A forwarded record relocates as one DATA record; its stub and its
+    MOVED body are both freed."""
     f = sm.create_file("data")
     big = f.max_payload() - 40
     a = f.insert(b"a" * 100)
@@ -105,62 +117,41 @@ def test_relocate_consolidates_oversize_stub(sm):
     target = f.allocate_page()
     new_oid = f.relocate(a, target)
     assert f.read(new_oid) == b"A" * big
-    assert f.read(a) == b"A" * big
+    assert not f.exists(a)
     # Exactly one copy of the body remains.
     assert _live_copies(f, b"A" * big) == [new_oid]
 
 
-def test_relocating_through_a_relocation_stub_is_refused(sm):
-    """The stub is not the live identity: callers must relocate the
-    record's current OID, or the mapping they maintain would fork."""
+def test_relocating_a_stale_oid_is_refused(sm):
+    """Once moved, only the new OID names the record: relocating the old
+    one again must fail rather than fork the caller's old->new mapping."""
     f = sm.create_file("data")
     oid = f.insert(b"v")
     new_oid = f.relocate(oid, f.allocate_page())
-    with pytest.raises(StorageError):
+    with pytest.raises(RecordNotFoundError):
         f.relocate(oid, f.allocate_page())
-    assert f.resolve_oid(oid) == new_oid
+    assert f.oids() == [new_oid]
 
 
-def test_chain_snapping_counts_and_shortens(sm):
+def test_forwarding_stays_one_hop(sm):
+    """Growing a forwarded record again re-points its one stub; a read
+    follows exactly one hop however often the body has moved."""
     f = sm.create_file("data")
-    oid = f.insert(b"hop")
-    mid = f.relocate(oid, f.allocate_page())
-    end = f.relocate(mid, f.allocate_page())
-    # Reading through the original OID walks two hops, then snaps.
-    assert f.read(oid) == b"hop"
-    assert _counter(sm, "forwards_snapped") == 1
-    followed = _counter(sm, "forwards_followed")
-    assert followed >= 2
-    # The next read goes straight to the body: exactly one more hop.
-    assert f.read(oid) == b"hop"
-    assert _counter(sm, "forwards_followed") == followed + 1
-    assert f.resolve_oid(oid) == end
-
-
-def test_reclaim_stub_frees_slot_and_counts(sm):
-    f = sm.create_file("data")
-    oid = f.insert(b"v")
-    new_oid = f.relocate(oid, f.allocate_page())
-    f.reclaim_stub(oid)
-    assert _counter(sm, "stubs_reclaimed") == 1
-    with pytest.raises((RecordNotFoundError, StorageError)):
-        f.read(oid)
-    assert f.read(new_oid) == b"v"
-    assert f.record_count() == 1
-
-
-def test_reclaim_refuses_data_and_oversize_stubs(sm):
-    f = sm.create_file("data")
-    plain = f.insert(b"plain")
-    with pytest.raises(StorageError):
-        f.reclaim_stub(plain)
     big = f.max_payload() - 40
     a = f.insert(b"a" * 100)
-    f.insert(b"b" * (f.max_payload() - 200))
-    f.update(a, b"A" * big)                    # FWD -> MOVED
-    with pytest.raises(StorageError):
-        f.reclaim_stub(a)                      # that stub IS the identity
-    assert f.read(a) == b"A" * big
+    f.insert(b"b" * (f.max_payload() - 200))   # crowd the page
+    f.update(a, b"A" * big)                    # the body leaves home
+    f.insert(b"c" * (f.max_payload() - 200))   # crowd the body's page
+    f.update(a, b"Z" * big)                    # ... and moves again
+    assert _counter(sm, "relocations") == 2
+    followed = _counter(sm, "forwards_followed")
+    assert f.read(a) == b"Z" * big
+    assert _counter(sm, "forwards_followed") == followed + 1
+    body = f._stub_target(f._read_raw(a))
+    # A body is reachable through its stub only.
+    with pytest.raises(RecordNotFoundError):
+        f.read(body)
+    assert _live_copies(f, b"Z" * big) == [a]
 
 
 # -- WAL + recovery ---------------------------------------------------------
@@ -175,7 +166,7 @@ def test_committed_relocation_survives_crash(sm):
     report = sm.restart()
     assert report.moves_redone == 1
     assert report.moves_undone == 0
-    assert sm.read(f, oid) == b"mover"
+    assert not f.exists(oid)
     assert sm.read(f, new_oid) == b"mover"
     assert _live_copies(f, b"mover") == [new_oid]
 
@@ -195,10 +186,10 @@ def test_crash_between_move_record_and_page_writes(sm):
     def failpoint():
         raise Crashed
 
-    sm._relocate_failpoint = failpoint
+    sm._move_failpoint = failpoint
     with pytest.raises(Crashed):
         sm.relocate(f, oid, f.allocate_page(), txn)
-    sm._relocate_failpoint = None
+    sm._move_failpoint = None
     sm.crash()                       # txn never commits
     report = sm.restart()
     assert txn.txn_id in report.losers
