@@ -29,7 +29,7 @@ def test_shape_cost_model_validation(benchmark):
     def measured_scan() -> float:
         sm.buffer.drop_all()
         before = sm.io_snapshot()
-        for _ in sm.scan(data):
+        for _ in sm.scan([data]):
             pass
         return sm.io_stats.since(before).elapsed_ms
 

@@ -48,7 +48,7 @@ def main() -> None:
     report = sm.restart()
     print(f"after checkpoint, recovery redid only {report.redone} update(s)")
     print("records now:",
-          [payload.decode() for _, payload in sm.scan(accounts)])
+          [payload.decode() for _, _, payload in sm.scan([accounts])])
 
 
 if __name__ == "__main__":

@@ -705,20 +705,20 @@ class MoodKernel:
         schema changes apply to existing objects)."""
         from repro.model.serde import decode, encode
 
-        for member in self.catalog.hierarchy.extent_classes(class_name):
-            extent = self.catalog.extent_file(member)
-            for oid, payload in list(self.storage.scan(extent)):
-                state = decode(payload)
-                if old not in state:
-                    continue
-                if action == "rename":
-                    state[new] = state.pop(old)
-                else:
-                    state.pop(old)
-                self.storage.update(extent, oid, encode(state))
-                # The rewrite bypasses the object manager; keep its deref
-                # cache honest.
-                self.objects.invalidate_cache(oid)
+        closure = self.catalog.hierarchy.extent_classes(class_name)
+        scan = self.storage.scan(map(self.catalog.extent_file, closure))
+        for extent, oid, payload in list(scan):
+            state = decode(payload)
+            if old not in state:
+                continue
+            if action == "rename":
+                state[new] = state.pop(old)
+            else:
+                state.pop(old)
+            self.storage.update(extent, oid, encode(state))
+            # The rewrite bypasses the object manager; keep its deref
+            # cache honest.
+            self.objects.invalidate_cache(oid)
 
     def _execute_create_method(self, statement: CreateMethod) -> StatementResult:
         function = MoodsFunction(

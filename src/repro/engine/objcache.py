@@ -174,10 +174,3 @@ class ObjectCache:
             self._metrics.batches.inc()
             self._metrics.batched_oids.inc(size)
             self._metrics.batch_size.observe(size)
-
-    # -- introspection -------------------------------------------------------
-
-    def resident_oids(self) -> list[OID]:
-        """OIDs currently cached, least- to most-recently used."""
-        with self._mutex:
-            return list(self._entries)

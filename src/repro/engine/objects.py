@@ -155,15 +155,11 @@ class ObjectManager(ObjectStore):
 
     # -- page map ------------------------------------------------------------
 
-    def _remember_pages(self, class_name: str) -> None:
-        extent = self.catalog.extent_file(class_name)
-        for page in extent.pages:
-            self._page_class[page] = class_name
-        self._wire_extent(class_name, extent)
-
-    def _wire_extent(self, class_name: str, extent) -> None:
-        """Register ``extent``'s page-allocation callback (idempotent), so
-        new pages enter the page map the moment they are allocated."""
+    def _map_extent(self, class_name: str, extent) -> None:
+        """Enter ``extent``'s pages in the page map and register its
+        page-allocation callback (idempotent), so new pages enter the map
+        the moment they are allocated."""
+        self._page_class.update(dict.fromkeys(extent.pages, class_name))
         if self._tracked_extents.get(extent.file_id) == class_name:
             return
         self._tracked_extents[extent.file_id] = class_name
@@ -174,13 +170,11 @@ class ObjectManager(ObjectStore):
         extent.on_new_page = _register
 
     def _track_extent(self, class_name: str, extent) -> None:
-        """Cheap per-write upkeep: wire the allocation callback on first
-        contact with an extent; already-tracked extents cost one dict
-        probe instead of the old every-write full page walk."""
+        """Cheap per-write upkeep: map an extent on first contact;
+        already-tracked extents cost one dict probe instead of the old
+        every-write full page walk."""
         if self._tracked_extents.get(extent.file_id) != class_name:
-            for page in extent.pages:
-                self._page_class[page] = class_name
-            self._wire_extent(class_name, extent)
+            self._map_extent(class_name, extent)
 
     def _class_of(self, oid: OID) -> str:
         class_name = self._page_class.get(oid.page)
@@ -199,7 +193,8 @@ class ObjectManager(ObjectStore):
         for class_name in self.catalog.class_names(include_system=True):
             definition = self.catalog.class_def(class_name)
             if definition.is_class:
-                self._remember_pages(class_name)
+                self._map_extent(class_name,
+                                 self.catalog.extent_file(class_name))
 
     # -- CRUD ------------------------------------------------------------------
 
@@ -417,40 +412,37 @@ class ObjectManager(ObjectStore):
         self, class_name: str, deep: bool = True,
         include: tuple[str, ...] | None = None,
     ) -> Iterator[MoodObject]:
-        """Objects of a class extent.
+        """Objects of a class extent, in physical page order.
 
         ``deep`` includes subclasses (IS-A); ``include`` restricts to an
-        explicit class list (the FROM clause's resolved closure)."""
-        if include is not None:
-            classes = list(include)
-        elif deep:
-            classes = self.catalog.hierarchy.extent_classes(class_name)
-        else:
-            classes = [class_name]
-        for member in classes:
-            extent = self.catalog.extent_file(member)
-            for oid, payload in self.storage.scan(extent, self.current_txn):
-                yield MoodObject(oid, member, decode(payload))
+        explicit class list (the FROM clause's resolved closure).  The
+        member extents are read in one storage sweep over the union of
+        their pages (``StorageManager.scan``), not one file at a time."""
+        classes = self._closure(class_name, deep) if include is None \
+            else include
+        member_of = {self.catalog.extent_file(m): m for m in classes}
+        for extent, oid, payload in self.storage.scan(member_of,
+                                                      self.current_txn):
+            yield MoodObject(oid, member_of[extent], decode(payload))
 
     def extent(self, class_name: str) -> list[MoodObject]:
         """ObjectStore protocol: the deep extent, materialised."""
         return list(self.iter_extent(class_name, deep=True))
 
+    def _closure(self, class_name: str, deep: bool) -> list[str]:
+        """``class_name`` and, when ``deep``, its subclasses (IS-A)."""
+        if deep:
+            return self.catalog.hierarchy.extent_classes(class_name)
+        return [class_name]
+
     def count(self, class_name: str, deep: bool = False) -> int:
-        classes = (
-            self.catalog.hierarchy.extent_classes(class_name)
-            if deep else [class_name]
-        )
         return sum(
             self.catalog.extent_file(member).record_count()
-            for member in classes
+            for member in self._closure(class_name, deep)
         )
 
     def nbpages(self, class_name: str, deep: bool = False) -> int:
-        classes = (
-            self.catalog.hierarchy.extent_classes(class_name)
-            if deep else [class_name]
-        )
         return sum(
-            self.catalog.extent_file(member).nbpages() for member in classes
+            self.catalog.extent_file(member).nbpages()
+            for member in self._closure(class_name, deep)
         )

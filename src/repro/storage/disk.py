@@ -212,9 +212,6 @@ class SimulatedDisk:
         self._volumes[volume_id] = _Volume(volume_id, page_base=self.page_base)
         return volume_id
 
-    def volume_ids(self) -> list[int]:
-        return sorted(self._volumes)
-
     def _volume(self, volume_id: int) -> _Volume:
         try:
             return self._volumes[volume_id]

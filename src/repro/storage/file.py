@@ -304,21 +304,24 @@ class StorageFile:
     # -- scans ------------------------------------------------------------
 
     def scan(self) -> Iterator[tuple[OID, bytes]]:
-        """Yield every live record as ``(oid, payload)`` in page order; a
-        forwarded record is reported under its home (stub) OID, where its
-        identity lives."""
+        """Yield every live record, page by page (see :meth:`scan_page`)."""
         for page_no in list(self.pages):
-            page = self._page(page_no)
-            try:
-                entries = page.records()
-            finally:
-                self.buffer.unpin(self.volume, page_no, dirty=False)
-            for slot, raw in entries:
-                if raw[0] == _TAG_DATA:
-                    yield OID(self.volume, page_no, slot), raw[1:]
-                elif raw[0] == _TAG_FWD:
-                    yield OID(self.volume, page_no, slot), self._follow(raw)[1:]
-                # MOVED bodies are reached through their stubs only.
+            yield from self.scan_page(page_no)
+
+    def scan_page(self, page_no: int) -> list[tuple[OID, bytes]]:
+        """The live records homed on ``page_no`` as ``(oid, payload)``; a
+        forwarded record is reported under its home (stub) OID, where its
+        identity lives.  MOVED bodies are reached through their stubs only."""
+        page = self._page(page_no)
+        try:
+            entries = page.records()
+        finally:
+            self.buffer.unpin(self.volume, page_no, dirty=False)
+        return [
+            (OID(self.volume, page_no, slot),
+             raw[1:] if raw[0] == _TAG_DATA else self._follow(raw)[1:])
+            for slot, raw in entries if raw[0] != _TAG_MOVED
+        ]
 
     def oids(self) -> list[OID]:
         return [oid for oid, _ in self.scan()]

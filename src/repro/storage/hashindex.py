@@ -85,9 +85,6 @@ class ExtendibleHashIndex:
     def directory_size(self) -> int:
         return len(self._directory)
 
-    def num_buckets(self) -> int:
-        return len({id(bucket) for bucket in self._directory})
-
     def _visit(self, bucket: _Bucket) -> None:
         self.stats.bucket_reads += 1
         if self._on_bucket_access is not None:

@@ -17,7 +17,7 @@ class is the 'ESM' the rest of the reproduction talks to:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from repro.core.errors import (
     FileNotFoundStorageError,
@@ -225,11 +225,21 @@ class StorageManager:
         self._write(storage_file, txn, storage_file.delete, oid)
 
     def scan(
-        self, storage_file: StorageFile, txn: Transaction | None = None
-    ) -> Iterator[tuple[OID, bytes]]:
+        self, files: Iterable[StorageFile], txn: Transaction | None = None
+    ) -> Iterator[tuple[StorageFile, OID, bytes]]:
+        """Yield every live record of ``files`` as ``(file, oid, payload)``
+        in one sweep over the union of their pages, ascending by page
+        number: interleaved member extents of a class hierarchy then cost
+        SEQCOST, not a random read per page.  Under ``txn`` every file is
+        S-locked before the first row."""
+        files = list(files)
         if txn is not None:
-            self.txns.lock_shared(txn, ("file", storage_file.file_id))
-        return storage_file.scan()
+            for storage_file in files:
+                self.txns.lock_shared(txn, ("file", storage_file.file_id))
+        owners = {page_no: f for f in files for page_no in f.pages}
+        for page_no in sorted(owners):
+            for oid, payload in owners[page_no].scan_page(page_no):
+                yield owners[page_no], oid, payload
 
     def relocate(
         self,

@@ -67,10 +67,6 @@ class SlottedPage:
     def num_slots(self) -> int:
         return self._read_header()[0]
 
-    @property
-    def _free_ptr(self) -> int:
-        return self._read_header()[1]
-
     # -- slot directory ------------------------------------------------------
 
     def _slot_pos(self, slot: int) -> int:

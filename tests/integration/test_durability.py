@@ -32,7 +32,7 @@ def test_many_transactions_random_outcomes():
             sm.checkpoint()
     sm.crash()
     report = sm.restart()
-    assert dict(sm.scan(f)) == committed
+    assert {oid: p for _, oid, p in sm.scan([f])} == committed
     assert not set(report.winners) & set(report.losers)
 
 

@@ -53,7 +53,7 @@ def test_record_roundtrip_unlogged(sm):
 def test_scan_through_manager(sm):
     f = sm.create_file()
     oids = [sm.insert(f, bytes([i])) for i in range(5)]
-    assert [o for o, _ in sm.scan(f)] == oids
+    assert [o for _, o, _ in sm.scan([f])] == oids
 
 
 def test_io_accounting_scan_is_mostly_sequential(sm):
@@ -63,7 +63,7 @@ def test_io_accounting_scan_is_mostly_sequential(sm):
     sm.buffer.flush_all()
     sm.buffer.drop_all()
     before = sm.io_snapshot()
-    list(sm.scan(f))
+    list(sm.scan([f]))
     delta = sm.io_stats.since(before)
     assert delta.page_reads == f.nbpages()
     assert delta.sequential_reads >= delta.page_reads - 2

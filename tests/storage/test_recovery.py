@@ -31,7 +31,7 @@ def test_uncommitted_updates_rolled_back_on_restart(sm):
     sm.crash()  # txn never commits
     report = sm.restart()
     assert txn.txn_id in report.losers
-    records = [payload for _, payload in sm.scan(f)]
+    records = [payload for _, _, payload in sm.scan([f])]
     assert records == [b"committed"]
     assert sm.read(f, keep) == b"committed"
 
@@ -97,7 +97,7 @@ def test_checkpoint_bounds_redo(sm):
         [r for r in sm.wal.records(sm.wal.last_checkpoint_lsn() + 1)
          if r.kind is LogKind.UPDATE]
     )
-    assert sorted(p for _, p in sm.scan(f)) == [b"one", b"two"]
+    assert sorted(p for _, _, p in sm.scan([f])) == [b"one", b"two"]
 
 
 def test_transaction_context_manager_aborts_on_exception(sm):
@@ -106,7 +106,7 @@ def test_transaction_context_manager_aborts_on_exception(sm):
         with sm.begin() as txn:
             sm.insert(f, b"ghost", txn)
             raise RuntimeError("boom")
-    assert list(sm.scan(f)) == []
+    assert list(sm.scan([f])) == []
 
 
 def test_dead_transaction_rejected(sm):

@@ -69,7 +69,7 @@ def test_property_recovery_equals_committed_state(history, crash_after):
 
     sm.crash()
     sm.restart()
-    assert dict(sm.scan(f)) == committed
+    assert {oid: p for _, oid, p in sm.scan([f])} == committed
 
 
 @settings(max_examples=25, deadline=None)
@@ -92,4 +92,4 @@ def test_property_double_crash_recovery_stable(history):
     for _ in range(3):
         sm.crash()
         sm.restart()
-        assert dict(sm.scan(f)) == committed
+        assert {oid: p for _, oid, p in sm.scan([f])} == committed
