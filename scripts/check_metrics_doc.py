@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Lint: every metric and SYS$ view registered in ``src/`` must be
+"""Lint: every metric, SYS$ view and wire op in ``src/`` must be
 documented.
 
 Scans ``src/**/*.py`` for literal ``.counter("name")`` and
@@ -10,6 +10,12 @@ registrations and checks each view has a schema row (a table line
 naming it in backticks) somewhere in DESIGN.md.  New telemetry without
 documentation fails tier-1 (``tests/obs/test_metrics_doc.py`` wraps
 this script), which keeps DESIGN.md the authoritative inventory.
+
+It also checks DESIGN.md's wire op table (the markdown table whose
+header row is ``| op | required fields | kind |``) against
+``repro.server.protocol.VERBS``, in both directions: every op in one is
+in the other, with the same required fields and the same kind
+(``statement``, ``internal`` or neither).
 
 Dynamically-named metrics (f-strings, e.g. the per-error-code
 ``server.errors.<CODE>`` counters) and dynamically-named view
@@ -96,6 +102,61 @@ def documented_views(design_text: str) -> set[str]:
     return names
 
 
+OP_TABLE_HEADER = re.compile(r"^\|\s*op\s*\|\s*required fields\s*\|\s*kind\s*\|$")
+
+
+def documented_ops(design_text: str) -> dict[str, tuple]:
+    """``op -> (required fields, kind)`` from DESIGN.md's op table."""
+    ops: dict[str, tuple] = {}
+    lines = iter(design_text.splitlines())
+    for line in lines:
+        if OP_TABLE_HEADER.match(line.strip()):
+            break
+    next(lines, None)  # the |---| separator row
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        op = CODE_SPAN.findall(cells[0])
+        if op:
+            kind = cells[2] if cells[2] in ("statement", "internal") else ""
+            ops[op[0]] = (tuple(sorted(CODE_SPAN.findall(cells[1]))), kind)
+    return ops
+
+
+def code_ops(verbs: dict) -> dict[str, tuple]:
+    """``op -> (required fields, kind)`` from the ``VERBS`` table."""
+    return {
+        op: (tuple(sorted(verb.required)),
+             "statement" if verb.statement
+             else "internal" if verb.internal else "")
+        for op, verb in verbs.items()
+    }
+
+
+def op_table_problems(design_text: str, verbs: dict) -> list[str]:
+    """Every disagreement between DESIGN.md's op table and ``verbs``."""
+    documented = documented_ops(design_text)
+    coded = code_ops(verbs)
+    problems = [f"{op}: in VERBS, not in DESIGN.md's op table"
+                for op in sorted(coded.keys() - documented.keys())]
+    problems += [f"{op}: in DESIGN.md's op table, not in VERBS"
+                 for op in sorted(documented.keys() - coded.keys())]
+    problems += [
+        f"{op}: DESIGN.md says {documented[op]}, VERBS says {coded[op]}"
+        for op in sorted(coded.keys() & documented.keys())
+        if coded[op] != documented[op]
+    ]
+    return problems
+
+
+def load_verbs(src: Path) -> dict:
+    sys.path.insert(0, str(src))
+    from repro.server.protocol import VERBS
+
+    return VERBS
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -136,8 +197,16 @@ def main(argv: list[str] | None = None) -> int:
             sites = ", ".join(undocumented_views[name][:3])
             print(f"  {name}  ({sites})", file=sys.stderr)
         return 1
-    print(f"check_metrics_doc: {len(registered)} metric names and "
-          f"{len(views)} SYS$ views documented")
+    verbs = load_verbs(src)
+    problems = op_table_problems(design.read_text(encoding="utf-8"), verbs)
+    if problems:
+        print("DESIGN.md's op table disagrees with protocol.VERBS:",
+              file=sys.stderr)
+        for problem in problems:
+            print(f"  {problem}", file=sys.stderr)
+        return 1
+    print(f"check_metrics_doc: {len(registered)} metric names, "
+          f"{len(views)} SYS$ views and {len(verbs)} wire ops documented")
     return 0
 
 

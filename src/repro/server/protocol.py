@@ -2,13 +2,15 @@
 
 MoodView talks to the MOOD kernel over a client/server boundary (the paper
 runs the interfaces as clients of a shared kernel on ESM); this module is
-that boundary's wire format for the reproduction:
+that boundary's wire format -- and its one TCP front,
+:class:`FrameListener`, shared by the single-engine server and the
+sharded router:
 
 * a frame is a 4-byte big-endian payload length followed by a UTF-8 JSON
   document -- trivially debuggable with ``nc`` plus a hex dump, and
   framing survives any TCP segmentation;
-* requests carry ``op`` (``EXECUTE``/``QUERY``/``EXPLAIN``/``BEGIN``/
-  ``COMMIT``/``ROLLBACK``/``PING``/``CLOSE``) and op-specific fields;
+* requests carry ``op`` (one of :data:`VERBS`) and op-specific fields,
+  checked by :func:`validate_request` before a server reads any of them;
 * responses carry ``ok`` plus either a result payload or an ``error``
   object holding the stable ``code``/``errno``/``retryable``/``message``
   identity from :mod:`repro.core.errors`.
@@ -25,10 +27,12 @@ from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import struct
+import threading
 from dataclasses import dataclass, field
 
-from repro.core.errors import ProtocolError
+from repro.core.errors import MoodError, ProtocolError, describe_error
 
 _LENGTH = struct.Struct("!I")
 
@@ -36,39 +40,115 @@ _LENGTH = struct.Struct("!I")
 #: desynchronised or hostile peer, not a big result.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
-#: Operations a server understands; anything else is a PROTOCOL error.
-REQUEST_OPS = frozenset({
-    "EXECUTE", "QUERY", "EXPLAIN", "BEGIN", "COMMIT", "ROLLBACK",
-    "PREPARE", "EXECUTE_PREPARED", "DEALLOCATE",
-    "PING", "STATS", "METRICS", "CLOSE",
-    # Two-phase commit (router -> shard worker only): phase-1 vote and the
-    # idempotent phase-2 decisions, plus the in-doubt report used by the
-    # coordinator's presumed-abort recovery sweep.
-    "PREPARE_TXN", "COMMIT_PREPARED", "ROLLBACK_PREPARED", "IN_DOUBT",
-    # Observability scatter-gather: a worker's SYS$ view rows or its raw
-    # metrics registry (counters + mergeable histogram dumps).  The router
-    # federates cluster-wide SYS$ views and the merged Prometheus export
-    # from these answers; read-only, bypasses admission.
-    "TELEMETRY",
-    # Dynamic clustering control: run a synchronous reclustering pass,
-    # start/stop the background daemon, or fetch SYS$CLUSTERING status.
-    # Admission-free like TELEMETRY; the router broadcasts to every shard.
-    "RECLUSTER",
-})
+
+@dataclass(frozen=True)
+class Verb:
+    """One wire op: the fields it must carry, whether it is a
+    *statement* (counted and traced by the router), and whether it is
+    *internal* (router -> shard two-phase commit; the router refuses it
+    from clients)."""
+
+    required: tuple[str, ...] = ()
+    statement: bool = False
+    internal: bool = False
+
+
+#: Every op a server understands; anything else is a PROTOCOL error.
+#: DESIGN.md's op table mirrors this one (``scripts/check_metrics_doc.py``
+#: fails tier-1 when they disagree).
+VERBS: dict[str, Verb] = {
+    "EXECUTE": Verb(("sql",), statement=True),
+    "QUERY": Verb(("sql",), statement=True),
+    "EXPLAIN": Verb(("sql",), statement=True),
+    "BEGIN": Verb(statement=True),
+    "COMMIT": Verb(statement=True),
+    "ROLLBACK": Verb(statement=True),
+    "PREPARE": Verb(("name", "sql"), statement=True),
+    "EXECUTE_PREPARED": Verb(("name",), statement=True),
+    "DEALLOCATE": Verb(("name",), statement=True),
+    "PING": Verb(),
+    "STATS": Verb(),
+    "METRICS": Verb(),
+    "CLOSE": Verb(),
+    # Observability scatter-gather: a SYS$ view's rows or the raw metrics
+    # registry; read-only and admission-free.
+    "TELEMETRY": Verb(),
+    # Dynamic clustering control; admission-free like TELEMETRY.
+    "RECLUSTER": Verb(),
+    # Two-phase commit: the phase-1 vote, the idempotent phase-2
+    # decisions, and the in-doubt report of presumed-abort recovery.
+    "PREPARE_TXN": Verb(("gid",), internal=True),
+    "COMMIT_PREPARED": Verb(("gid",), internal=True),
+    "ROLLBACK_PREPARED": Verb(("gid",), internal=True),
+    "IN_DOUBT": Verb(internal=True),
+}
+
+RECLUSTER_ACTIONS = ("run", "start", "stop", "status")
+
+
+def _is_text(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_name(value) -> bool:
+    return isinstance(value, str) and value != ""
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: The typed request fields, whatever the op: ``field -> (test, what
+#: the field must be)``.  A field set to null counts as absent.
+FIELDS = {
+    "sql": (_is_text, "a string"),
+    "name": (_is_name, "a non-empty string"),
+    "gid": (_is_name, "a non-empty string"),
+    "trace": (_is_text, "a string"),
+    "view": (_is_text, "a string"),
+    "params": (lambda v: isinstance(v, (list, dict)), "a list or an object"),
+    "timeout": (lambda v: _is_number(v) and v >= 0, "a non-negative number"),
+    "interval": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    "shard": (lambda v: isinstance(v, int) and not isinstance(v, bool)
+              and v >= 0, "a non-negative integer"),
+    "action": (lambda v: v in RECLUSTER_ACTIONS,
+               "one of " + "/".join(RECLUSTER_ACTIONS)),
+}
+_FIELD_NAMES = frozenset(FIELDS)
+
+
+def validate_request(request: dict) -> Verb:
+    """The request's :class:`Verb`, once its op is known, its required
+    fields are present and every typed field has its type; otherwise a
+    :class:`ProtocolError`.  Servers call this before reading any field,
+    so a malformed frame gets one answer from every server."""
+    op = request.get("op")
+    verb = VERBS.get(op) if isinstance(op, str) else None
+    if verb is None:
+        raise ProtocolError(f"unknown op {op!r}")
+    for key in verb.required:
+        if request.get(key) is None:
+            raise ProtocolError(f"{op} needs a '{key}' field")
+    for key in request.keys() & _FIELD_NAMES:
+        value = request[key]
+        test, what = FIELDS[key]
+        if value is not None and not test(value):
+            raise ProtocolError(f"{op} '{key}' must be {what}")
+    return verb
 
 
 # --------------------------------------------------------------------------
 # Framing
 # --------------------------------------------------------------------------
 
+def encode_frame(message: dict) -> bytes:
+    """``message`` as one frame payload (compact JSON, UTF-8)."""
+    return json.dumps(message, separators=(",", ":")).encode("utf-8")
+
+
 def send_frame(sock: socket.socket, message: dict) -> None:
     """Encode ``message`` as one length-prefixed JSON frame and send it."""
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}"
-        )
-    sock.sendall(_LENGTH.pack(len(payload)) + payload)
+    send_frame_bytes(sock, encode_frame(message))
 
 
 def recv_frame(sock: socket.socket) -> dict | None:
@@ -213,3 +293,121 @@ def ok_response(payload: dict | None = None) -> dict:
 def error_response(error: dict) -> dict:
     """``error`` is :func:`repro.core.errors.describe_error` output."""
     return {"ok": False, "error": error}
+
+
+def telemetry_response(kernel, request: dict) -> dict:
+    """The TELEMETRY verb against one kernel.  Without a ``view``: the
+    metrics registry's counters plus *mergeable* histogram dumps.  With
+    one: that SYS$ view's rows -- on the router, the federated view, so
+    what a scraper gets there is already cluster-wide.  An unknown view
+    answers empty rather than erroring, so a newer router can scatter
+    to an older worker during a rolling upgrade."""
+    view = request.get("view")
+    if view is None:
+        metrics = kernel.storage.metrics
+        return ok_response({
+            "counters": metrics.counters(),
+            "histograms": metrics.histogram_dumps(),
+        })
+    views = kernel.system_views
+    rows = views.rows(view) if views.has(view) else []
+    return ok_response({"rows": [encode_value(row) for row in rows]})
+
+
+# --------------------------------------------------------------------------
+# The listener
+# --------------------------------------------------------------------------
+
+class FrameListener(socketserver.ThreadingTCPServer):
+    """The one TCP front of every MOOD server: per connection, one
+    thread, one session and one frame loop.
+
+    The owner supplies ``open_session()``, ``handle_request(session,
+    request, payload)`` -- answering a dict, or response bytes that are
+    relayed verbatim -- and ``close_session(session)``.  Listening starts
+    on construction; :meth:`close` ends it.
+    """
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, owner, address: tuple[str, int], name: str):
+        super().__init__(address, _FrameHandler)
+        self.owner = owner
+        self._connections: set = set()
+        self._mutex = threading.Lock()
+        self._thread = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": 0.05},
+            name=name, daemon=True,
+        )
+        self._thread.start()
+
+    @property
+    def address(self) -> tuple[str, int]:
+        host, port = self.server_address[:2]
+        return host, port
+
+    def close(self, sever: bool = False) -> None:
+        """Stop accepting and release the port.  With ``sever``, also cut
+        every open connection the way a process kill would; otherwise
+        connection threads run on until their clients hang up."""
+        self.shutdown()
+        self.server_close()
+        if sever:
+            with self._mutex:
+                socks = list(self._connections)
+            for sock in socks:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+                sock.close()
+        self._thread.join(timeout=5)
+
+    def serve(self, sock: socket.socket) -> None:
+        """One connection, from its session to its hang-up."""
+        with self._mutex:
+            self._connections.add(sock)
+        try:
+            try:
+                session = self.owner.open_session()
+            except MoodError as exc:
+                send_frame(sock, error_response(describe_error(exc)))
+                return
+            try:
+                self._frame_loop(sock, session)
+            finally:
+                self.owner.close_session(session)
+        except OSError:
+            pass  # the client vanished (or the connection was severed)
+        finally:
+            with self._mutex:
+                self._connections.discard(sock)
+
+    def _frame_loop(self, sock: socket.socket, session) -> None:
+        while True:
+            try:
+                payload = recv_frame_bytes(sock)
+            except ProtocolError as exc:
+                # Framing is gone; answer once and hang up.
+                send_frame(sock, error_response(describe_error(exc)))
+                return
+            if payload is None:
+                return
+            try:
+                request = decode_frame(payload)
+            except ProtocolError as exc:
+                # The framing survived a bad payload: answer, keep going.
+                send_frame(sock, error_response(describe_error(exc)))
+                continue
+            response = self.owner.handle_request(session, request, payload)
+            if not isinstance(response, bytes):
+                response = encode_frame(response)
+            send_frame_bytes(sock, response)
+            if request.get("op") == "CLOSE":
+                return
+
+
+class _FrameHandler(socketserver.BaseRequestHandler):
+    def handle(self) -> None:
+        self.server.serve(self.request)

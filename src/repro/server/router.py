@@ -14,6 +14,10 @@ the router; the router classifies each statement and either
   the router concatenates the row streams and re-applies simple ORDER
   BYs).
 
+Literal and prepared statements take the same fan-out
+(:meth:`ShardedServer._fan_out`), and every frame a shard receives goes
+through one per-shard step (:meth:`ShardedServer._on_shard`).
+
 Requests carry optional routing hints: ``shard`` pins a statement to a
 shard index, ``shard_key`` hashes an application key to one
 (``int % N``; strings via crc32).  ``NEW`` without a hint round-robins.
@@ -35,7 +39,6 @@ scatters to the shards like any query.
 from __future__ import annotations
 
 import socket
-import socketserver
 import threading
 import time
 import uuid
@@ -56,15 +59,15 @@ from repro.obs.metrics import merge_histogram_dumps, summarize_dump
 from repro.obs.spans import Span
 from repro.obs.trace import StatementTrace, server_trace_id, truncate_statement
 from repro.server.protocol import (
-    REQUEST_OPS,
+    FrameListener,
     decode_frame,
-    encode_value,
+    encode_frame,
     error_response,
     ok_response,
-    recv_frame,
     recv_frame_bytes,
-    send_frame,
     send_frame_bytes,
+    telemetry_response,
+    validate_request,
 )
 from repro.server.telemetry import (
     ROUTER_ONLY_VIEWS,
@@ -150,26 +153,14 @@ class _ShardLink:
                 f"shard {shard_index} unreachable at {address}: {exc}"
             ) from None
 
-    def call(self, request: dict) -> dict:
+    def call(self, request):
+        """Send one frame -- a dict, or already-encoded bytes -- and return
+        the response in the same form.  Bytes in, bytes out is the relay
+        hot path: no JSON decode/re-encode at the router."""
+        raw = isinstance(request, bytes)
         try:
-            send_frame(self._sock, request)
-            response = recv_frame(self._sock)
-        except (OSError, ProtocolError) as exc:
-            raise ShardUnavailableError(
-                f"shard {self.shard_index} failed mid-call: {exc}"
-            ) from None
-        if response is None:
-            raise ShardUnavailableError(
-                f"shard {self.shard_index} hung up"
-            )
-        return response
-
-    def call_raw(self, payload: bytes) -> bytes:
-        """Relay an already-encoded frame and hand back the shard's
-        response bytes untouched (the single-shard hot path: no JSON
-        decode/re-encode at the router)."""
-        try:
-            send_frame_bytes(self._sock, payload)
+            send_frame_bytes(self._sock,
+                             request if raw else encode_frame(request))
             response = recv_frame_bytes(self._sock)
         except (OSError, ProtocolError) as exc:
             raise ShardUnavailableError(
@@ -179,7 +170,7 @@ class _ShardLink:
             raise ShardUnavailableError(
                 f"shard {self.shard_index} hung up"
             )
-        return response
+        return response if raw else decode_frame(response)
 
     def close(self) -> None:
         try:
@@ -309,15 +300,11 @@ class ShardedServer:
         self._admin_locks = [threading.Lock() for _ in self.backends]
         self._next_session = 1
         self._round_robin = 0
-        self._tcp: _RouterTCPServer | None = None
-        self._accept_thread: threading.Thread | None = None
+        self._listener: FrameListener | None = None
         self._stopped = False
         self._crashed = False
         #: Report of the in-doubt resolution run by the last start().
         self.last_recovery = {"redriven": 0, "swept": 0}
-        # Established client sockets, severed on a simulated crash.
-        self._conn_socks: set = set()
-        self._conn_mutex = threading.Lock()
         # Installed last: re-registers the view database's SYS$ views as
         # federated cluster views and adds SYS$TXNS / SYS$SHARD_HEALTH.
         self.telemetry = ClusterTelemetry(self)
@@ -327,38 +314,27 @@ class ShardedServer:
     def start(self) -> tuple[str, int]:
         """Start the shards (when owned), resolve leftover in-doubt
         transactions, then open the routing listener."""
-        if self._tcp is not None:
+        if self._listener is not None:
             raise MoodError("router already started")
         for backend in self.backends:
             if backend.address is None:
                 backend.start()
         self.last_recovery = self.recover()
-        self._tcp = _RouterTCPServer(
-            (self.config.host, self.config.port), _RouterHandler, self
+        self._listener = FrameListener(
+            self, (self.config.host, self.config.port), "mood-router-accept"
         )
-        self._accept_thread = threading.Thread(
-            target=self._tcp.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="mood-router-accept",
-            daemon=True,
-        )
-        self._accept_thread.start()
         return self.address
 
     @property
     def address(self) -> tuple[str, int]:
-        if self._tcp is None:
+        if self._listener is None:
             raise MoodError("router not started")
-        host, port = self._tcp.server_address[:2]
-        return host, port
+        return self._listener.address
 
     def stop(self) -> None:
-        if self._tcp is not None and not self._stopped:
+        if self._listener is not None and not self._stopped:
             self._stopped = True
-            self._tcp.shutdown()
-            self._tcp.server_close()
-            if self._accept_thread is not None:
-                self._accept_thread.join(timeout=5)
+            self._listener.close()
         for link in self._admin_links.values():
             link.close()
         self._admin_links.clear()
@@ -373,24 +349,10 @@ class ShardedServer:
         connections (each worker rolls them back), while prepared
         branches survive in doubt until :meth:`recover` on a restarted
         router resolves them."""
-        if self._tcp is not None and not self._stopped:
+        if self._listener is not None and not self._stopped:
             self._stopped = True
             self._crashed = True
-            self._tcp.shutdown()
-            self._tcp.server_close()
-            with self._conn_mutex:
-                socks = list(self._conn_socks)
-            for sock in socks:
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-            if self._accept_thread is not None:
-                self._accept_thread.join(timeout=5)
+            self._listener.close(sever=True)
         for link in self._admin_links.values():
             link.close()
         self._admin_links.clear()
@@ -508,7 +470,9 @@ class ShardedServer:
     def close_session(self, session: RouterSession) -> None:
         with self._mutex:
             self._sessions.pop(session.session_id, None)
-        if session.in_txn:
+        if session.in_txn and not self._crashed:
+            # A crashed coordinator sends no rollbacks; its shard links
+            # just die (workers abort the active branches).
             for shard in list(session.participants):
                 try:
                     self._call_shard(session, shard, {"op": "ROLLBACK"})
@@ -518,10 +482,10 @@ class ShardedServer:
             session.participants.clear()
         session.close_links()
 
-    def _call_shard(self, session: RouterSession, shard: int,
-                    request: dict) -> dict:
-        """Send one frame over the session's link to ``shard``; a dead
-        link is discarded so the next statement redials."""
+    def _call_shard(self, session: RouterSession, shard: int, request):
+        """Send one frame (a dict, or raw bytes relayed verbatim) over
+        the session's link to ``shard``; a dead link is discarded so the
+        next statement redials."""
         link = session.links.get(shard)
         if link is None:
             address = self.backends[shard].address
@@ -538,33 +502,13 @@ class ShardedServer:
             session.links.pop(shard, None)
             raise
 
-    def _call_shard_raw(self, session: RouterSession, shard: int,
-                        payload: bytes) -> bytes:
-        """Byte-for-byte relay over the session's link to ``shard``
-        (response included -- errors pass through verbatim anyway)."""
-        link = session.links.get(shard)
-        if link is None:
-            address = self.backends[shard].address
-            if address is None:
-                self._m_unavailable.inc()
-                raise ShardUnavailableError(f"shard {shard} is down")
-            link = _ShardLink(shard, address, self.config.link_timeout)
-            session.links[shard] = link
-        try:
-            return link.call_raw(payload)
-        except ShardUnavailableError:
-            self._m_unavailable.inc()
-            link.close()
-            session.links.pop(shard, None)
-            raise
-
-    def _call_checked(self, session: RouterSession, shard: int,
-                      request: dict) -> dict:
+    def _call_checked(self, session: RouterSession, shard: int, request):
         """Like :meth:`_call_shard` but a shard-side error response is
         raised locally as :class:`_ShardErrorResponse` (carrying the
-        verbatim error payload)."""
+        verbatim error payload).  Relayed bytes pass through unchecked:
+        their errors reach the client verbatim anyway."""
         response = self._call_shard(session, shard, request)
-        if not response.get("ok", False):
+        if isinstance(response, dict) and not response.get("ok", False):
             raise _ShardErrorResponse(response)
         return response
 
@@ -573,33 +517,27 @@ class ShardedServer:
     def handle_request(self, session: RouterSession, request: dict,
                        raw: bytes | None = None):
         """Route one decoded request; ``raw`` is its wire payload, which
-        single-shard fast paths relay untouched (the return value is then
-        the shard's response bytes rather than a dict)."""
-        op = request.get("op")
-        if op not in REQUEST_OPS:
-            return error_response(describe_error(
-                ProtocolError(f"unknown op {op!r}")
-            ))
-        if op not in _STATEMENT_OPS:
-            try:
-                return self._dispatch(session, op, request, raw)
-            except _ShardErrorResponse as exc:
-                return exc.response
-            except MoodError as exc:
-                return error_response(describe_error(exc))
+        single-shard routes relay untouched (the return value is then the
+        shard's response bytes rather than a dict)."""
         started = time.monotonic()
         session.pending_spans = []
+        verb = None
         try:
-            response = self._dispatch(session, op, request, raw)
+            verb = validate_request(request)
+            if verb.internal:
+                raise ProtocolError(f"{request['op']} is a router-to-shard "
+                                    "operation, not a client one")
+            response = self._dispatch(session, request["op"], request, raw)
         except _ShardErrorResponse as exc:
             response = exc.response
         except MoodError as exc:
             response = error_response(describe_error(exc))
-        self._account_statement(session, op, request, response, started)
+        if verb is not None and verb.statement:
+            self._account_statement(session, request, response, started)
         return response
 
-    def _account_statement(self, session: RouterSession, op: str,
-                           request: dict, response, started: float) -> None:
+    def _account_statement(self, session: RouterSession, request: dict,
+                           response, started: float) -> None:
         """Count and trace one routed statement.
 
         Every statement-shaped request lands here whatever its outcome,
@@ -616,9 +554,8 @@ class ShardedServer:
             self._m_statements_failed.inc()
             self.metrics.counter(f"server.errors.{code}").inc()
         self._m_statement_ms.observe(total_ms)
-        trace_id = request.get("trace")
-        if not isinstance(trace_id, str) or not trace_id:
-            trace_id = server_trace_id()
+        op = request["op"]
+        trace_id = request.get("trace") or server_trace_id()
         session.last_trace_id = trace_id
         statement = request.get("sql") or request.get("name") or op
         trace = StatementTrace(
@@ -636,29 +573,11 @@ class ShardedServer:
         self.slow_log.consider(trace)
 
     def _dispatch(self, session: RouterSession, op: str, request: dict,
-                  raw: bytes | None = None):
-        if op == "PING":
-            return ok_response({"pong": True, "shards": self.shard_count})
-        if op == "STATS":
-            return ok_response({"stats": self._stats(session)})
-        if op == "METRICS":
-            from repro.obs.promtext import render_cluster_prometheus
-
-            # The merged cluster exposition: router samples unlabelled,
-            # worker samples labelled shard="<i>", histogram families
-            # additionally merged into shard="cluster" quantiles.
-            return ok_response({"metrics": render_cluster_prometheus(
-                self.metrics, self.telemetry.shard_metrics()
-            )})
-        if op == "TELEMETRY":
-            return self._telemetry_op(request)
-        if op == "RECLUSTER":
-            return self._recluster_op(request)
-        if op in ("PREPARE_TXN", "COMMIT_PREPARED", "ROLLBACK_PREPARED",
-                  "IN_DOUBT"):
-            raise ProtocolError(
-                f"{op} is a router-to-shard operation, not a client one"
-            )
+                  raw: bytes | None):
+        if op in ("EXECUTE", "QUERY", "EXPLAIN"):
+            return self._execute_sql(session, op, request, raw)
+        if op == "EXECUTE_PREPARED":
+            return self._execute_prepared(session, request, raw)
         if op == "BEGIN":
             if session.in_txn:
                 raise TransactionError(
@@ -667,27 +586,22 @@ class ShardedServer:
                 )
             session.in_txn = True
             session.participants = set()
-            session.txn_trace = _optional_trace(request)
+            session.txn_trace = request.get("trace") or None
             return _synth_statement("BEGIN", "distributed transaction")
         if op == "COMMIT":
-            return self._commit(session, _optional_trace(request))
+            return self._commit(session, request.get("trace") or None)
         if op == "ROLLBACK":
-            return self._rollback(session, _optional_trace(request))
+            return self._rollback(session, request.get("trace") or None)
         if op == "PREPARE":
-            name = request.get("name")
-            sql = request.get("sql")
-            if not isinstance(name, str) or not name:
-                raise ProtocolError("PREPARE needs a non-empty 'name'")
-            if not isinstance(sql, str):
-                raise ProtocolError("PREPARE needs a string 'sql' field")
+            name = request["name"]
             # Reject malformed SQL now and keep the first statement's
             # parse for per-execution routing.
-            session.prepared_first[name] = parse_script(sql)[0]
-            session.prepared_sql[name] = sql
+            session.prepared_first[name] = parse_script(request["sql"])[0]
+            session.prepared_sql[name] = request["sql"]
             session.prepared_on[name] = set()
             return _synth_statement("PREPARE", f"prepared {name}")
         if op == "DEALLOCATE":
-            name = request.get("name")
+            name = request["name"]
             if name not in session.prepared_sql:
                 raise UnknownPreparedStatementError(
                     f"no prepared statement {name!r}"
@@ -702,32 +616,24 @@ class ShardedServer:
             del session.prepared_sql[name]
             session.prepared_first.pop(name, None)
             return _synth_statement("DEALLOCATE", f"deallocated {name}")
-        if op == "EXECUTE_PREPARED":
-            return self._execute_prepared(session, request, raw)
-        # EXECUTE / QUERY / EXPLAIN
-        sql = request.get("sql")
-        if not isinstance(sql, str):
-            raise ProtocolError(f"{op} needs a string 'sql' field")
-        if op == "EXPLAIN" and not sql.lstrip().upper().startswith("EXPLAIN"):
-            sql = "EXPLAIN " + sql
-        return self._execute_sql(session, op, sql, request, raw)
+        if op == "PING":
+            return ok_response({"pong": True, "shards": self.shard_count})
+        if op == "STATS":
+            return ok_response({"stats": self._stats(session)})
+        if op == "METRICS":
+            from repro.obs.promtext import render_cluster_prometheus
 
-    def _telemetry_op(self, request: dict) -> dict:
-        """The router's own TELEMETRY surface.  Without a view: its
-        counters plus mergeable histogram dumps (same shape a worker
-        ships).  With one: the *federated* view's rows -- what a scraper
-        gets here is already cluster-wide."""
-        view = request.get("view")
-        if view is None:
-            return ok_response({
-                "counters": self.metrics.counters(),
-                "histograms": self.metrics.histogram_dumps(),
-            })
-        if not isinstance(view, str):
-            raise ProtocolError("TELEMETRY 'view' must be a string")
-        views = self._viewdb.kernel.system_views
-        rows = views.rows(view) if views.has(view) else []
-        return ok_response({"rows": [encode_value(row) for row in rows]})
+            # The merged cluster exposition: router samples unlabelled,
+            # worker samples labelled shard="<i>", histogram families
+            # additionally merged into shard="cluster" quantiles.
+            return ok_response({"metrics": render_cluster_prometheus(
+                self.metrics, self.telemetry.shard_metrics()
+            )})
+        if op == "TELEMETRY":
+            return telemetry_response(self._viewdb.kernel, request)
+        if op == "RECLUSTER":
+            return self._recluster_op(request)
+        return ok_response({"bye": True})  # CLOSE; the listener hangs up
 
     def _recluster_op(self, request: dict) -> dict:
         """Broadcast a dynamic-clustering command: every shard runs its
@@ -757,16 +663,17 @@ class ShardedServer:
 
     def _hint_shard(self, request: dict) -> int | None:
         """Resolve a request's routing hint to a shard index, if any."""
-        if "shard" in request and request["shard"] is not None:
-            shard = request["shard"]
-            if not isinstance(shard, int) or not 0 <= shard < self.shard_count:
+        shard = request.get("shard")
+        if shard is not None:
+            # The type is checked on the wire; only the router knows the
+            # range (workers accept any relayed hint).
+            if shard >= self.shard_count:
                 raise ProtocolError(
                     f"'shard' must be an integer in 0..{self.shard_count - 1}"
                 )
             return shard
-        if "shard_key" in request and request["shard_key"] is not None:
-            return shard_of_key(request["shard_key"], self.shard_count)
-        return None
+        key = request.get("shard_key")
+        return None if key is None else shard_of_key(key, self.shard_count)
 
     def _route(self, statement, hint: int | None):
         """Classify one parsed statement: ``("shard", i)``, ``("broadcast",)``,
@@ -809,69 +716,104 @@ class ShardedServer:
             return ("shard", hint)
         return ("broadcast",)
 
-    def _execute_sql(self, session: RouterSession, op: str, sql: str,
-                     request: dict, raw: bytes | None = None):
+    def _execute_sql(self, session: RouterSession, op: str, request: dict,
+                     raw: bytes | None):
+        sql = request["sql"]
+        if op == "EXPLAIN" and not sql.lstrip().upper().startswith("EXPLAIN"):
+            sql = "EXPLAIN " + sql
+            request, raw = dict(request, sql=sql), None
         hint = self._hint_shard(request)
         if hint is not None and not _may_need_fanout(sql):
             # Hinted hot path: every statement kind left after the
             # textual screen routes to the hinted shard, so skip the
-            # router-side parse entirely and relay the frame verbatim --
-            # byte-for-byte when the wire payload needs no rewriting.
-            if raw is not None and sql is request.get("sql"):
-                return self._forward_raw(session, hint, raw)
-            return self._forward(session, hint, dict(request, sql=sql))
+            # router-side parse entirely.
+            return self._forward(session, hint, request, raw)
         statements = parse_script(sql)
         routes = [self._route(stmt, hint) for stmt in statements]
         single = {r[1] for r in routes if r[0] == "shard"}
         if len(single) == 1 and all(r[0] == "shard" for r in routes):
-            # Fast path: the whole script lives on one shard -- relay the
-            # frame verbatim (hints and trace ids ride along; workers
-            # ignore fields they don't know).
+            # The whole script lives on one shard: relay the frame (hints,
+            # trace and timeout ride along; workers ignore what they
+            # don't route on).
             (shard,) = single
-            return self._forward(session, shard, dict(request, sql=sql))
-        texts = _split_script(sql, len(statements))
+            return self._forward(session, shard, request, raw)
         results = []
-        trace = request.get("trace")
+        texts = _split_script(sql, len(statements))
         for text, statement, route in zip(texts, statements, routes):
-            frame = {"op": "EXECUTE", "sql": text}
-            if trace is not None:
-                frame["trace"] = trace
-            if route[0] == "shard":
-                response = self._forward(session, route[1], frame)
-                results.extend(response.get("results", []))
-            elif route[0] == "sys":
-                result = self._viewdb.execute(text)
-                results.append(_encode_result(result))
-            elif route[0] == "scatter":
-                results.append(
-                    self._scatter_query(session, frame, statement)
-                )
-            elif route[0] == "broadcast":
-                results.append(self._broadcast(session, frame))
-            elif route[0] == "write_all":
-                results.append(self._broadcast_write(session, frame))
-        return ok_response({"results": results, "trace": trace})
+            frame = _shard_frame(request, "EXECUTE", sql=text)
+            results.extend(
+                self._fan_out(session, route, statement, frame)["results"]
+            )
+        return ok_response({"results": results,
+                            "trace": request.get("trace")})
 
-    def _forward(self, session: RouterSession, shard: int,
+    def _execute_prepared(self, session: RouterSession, request: dict,
+                          raw: bytes | None):
+        """A prepared statement routes exactly like its literal twin,
+        from the parse kept at PREPARE; :meth:`_on_shard` propagates the
+        statement to each shard on its first use there."""
+        name = request["name"]
+        if name not in session.prepared_sql:
+            raise UnknownPreparedStatementError(
+                f"no prepared statement {name!r}"
+            )
+        statement = session.prepared_first[name]
+        route = self._route(statement, self._hint_shard(request))
+        if route[0] == "sys":
+            raise ProtocolError("EXECUTE_PREPARED cannot target SYS$SHARDS")
+        if route[0] == "shard":
+            return self._forward(session, route[1], request, raw)
+        frame = _shard_frame(request, "EXECUTE_PREPARED", name=name,
+                             params=request.get("params") or [])
+        return self._fan_out(session, route, statement, frame)
+
+    def _fan_out(self, session: RouterSession, route: tuple, statement,
                  frame: dict) -> dict:
-        """Single-shard relay, opening the shard's transaction branch
-        first when the session is inside a distributed transaction."""
+        """Run one routed statement: relay it to its shard, answer it from
+        the router's own views, scatter it and merge, or broadcast it."""
+        kind = route[0]
+        if kind == "shard":
+            return self._forward(session, route[1], frame)
+        if kind == "sys":
+            result = _encode_result(self._viewdb.execute(frame["sql"]))
+        elif kind == "scatter":
+            result = self._scatter_query(session, frame, statement)
+        elif kind == "broadcast":
+            result = self._broadcast(session, frame)
+        else:
+            result = self._broadcast_write(session, frame)
+        return ok_response({"results": [result],
+                            "trace": frame.get("trace")})
+
+    def _on_shard(self, session: RouterSession, shard: int, frame: dict,
+                  raw: bytes | None = None):
+        """The one per-shard step of every routed statement: enlist the
+        shard in the session's transaction, propagate a prepared
+        statement on its first use there, count the statement, and send
+        ``frame`` -- or ``raw``, the client's own bytes for it."""
         self._ensure_participant(session, shard)
-        response = self._call_checked(session, shard, frame)
-        self._m_forwarded.inc()
+        if frame["op"] == "EXECUTE_PREPARED":
+            name = frame["name"]
+            if shard not in session.prepared_on[name]:
+                self._call_checked(session, shard, {
+                    "op": "PREPARE", "name": name,
+                    "sql": session.prepared_sql[name],
+                })
+                session.prepared_on[name].add(shard)
+        response = self._call_checked(
+            session, shard, frame if raw is None else raw
+        )
         with self._mutex:
             self._per_shard_statements[shard] += 1
         return response
 
-    def _forward_raw(self, session: RouterSession, shard: int,
-                     payload: bytes) -> bytes:
-        """Single-shard relay of the client's wire bytes."""
-        self._ensure_participant(session, shard)
-        response = self._call_shard_raw(session, shard, payload)
+    def _forward(self, session: RouterSession, shard: int, frame: dict,
+                 raw: bytes | None = None):
+        """Single-shard relay; with ``raw``, byte for byte."""
+        response = self._on_shard(session, shard, frame, raw)
         self._m_forwarded.inc()
-        self._m_raw_relays.inc()
-        with self._mutex:
-            self._per_shard_statements[shard] += 1
+        if raw is not None:
+            self._m_raw_relays.inc()
         return response
 
     def _ensure_participant(self, session: RouterSession, shard: int) -> None:
@@ -888,10 +830,7 @@ class ShardedServer:
         merged: dict | None = None
         reports = []
         for shard in range(self.shard_count):
-            self._ensure_participant(session, shard)
-            response = self._call_checked(session, shard, frame)
-            with self._mutex:
-                self._per_shard_statements[shard] += 1
+            response = self._on_shard(session, shard, frame)
             for result in response.get("results", []):
                 if result.get("type") == "explain":
                     reports.append(
@@ -937,10 +876,7 @@ class ShardedServer:
         self._m_broadcasts.inc()
         first: dict | None = None
         for shard in range(self.shard_count):
-            self._ensure_participant(session, shard)
-            response = self._call_checked(session, shard, frame)
-            with self._mutex:
-                self._per_shard_statements[shard] += 1
+            response = self._on_shard(session, shard, frame)
             if first is None:
                 results = response.get("results", [])
                 first = results[0] if results else _synth_result("BROADCAST")
@@ -951,86 +887,30 @@ class ShardedServer:
         transaction the branches simply join it (2PC finishes the job at
         COMMIT); in autocommit the router wraps the broadcast in an
         internal distributed transaction so the write stays atomic."""
-        self._m_broadcasts.inc()
-        if session.in_txn:
-            count = 0
-            first = None
-            for shard in range(self.shard_count):
-                self._ensure_participant(session, shard)
-                response = self._call_checked(session, shard, frame)
-                with self._mutex:
-                    self._per_shard_statements[shard] += 1
-                results = response.get("results", [])
-                if results:
-                    count += results[0].get("count") or 0
-                    first = first or results[0]
-            merged = dict(first or _synth_result("WRITE"))
-            merged["count"] = count
+        if not session.in_txn:
+            session.in_txn = True
+            session.participants = set()
+            try:
+                merged = self._broadcast_write(session, frame)
+            except Exception:
+                self._rollback(session, frame.get("trace"))
+                raise
+            outcome = self._commit(session, frame.get("trace"))
+            if not outcome.get("ok", False):
+                raise _ShardErrorResponse(outcome)  # a shard voted no
             return merged
-        session.in_txn = True
-        session.participants = set()
-        try:
-            merged = self._broadcast_write(session, frame)
-        except Exception:
-            self._rollback(session, frame.get("trace"))
-            raise
-        self._commit(session, frame.get("trace"))
+        self._m_broadcasts.inc()
+        count = 0
+        first = None
+        for shard in range(self.shard_count):
+            response = self._on_shard(session, shard, frame)
+            results = response.get("results", [])
+            if results:
+                count += results[0].get("count") or 0
+                first = first or results[0]
+        merged = dict(first or _synth_result("WRITE"))
+        merged["count"] = count
         return merged
-
-    def _execute_prepared(self, session: RouterSession, request: dict,
-                          raw: bytes | None = None):
-        name = request.get("name")
-        if name not in session.prepared_sql:
-            raise UnknownPreparedStatementError(
-                f"no prepared statement {name!r}"
-            )
-        sql = session.prepared_sql[name]
-        hint = self._hint_shard(request)
-        route = self._route(session.prepared_first[name], hint)
-        if (raw is not None and route[0] == "shard"
-                and route[1] in session.prepared_on[name]):
-            # Already propagated to the target shard: relay the client's
-            # bytes straight through.
-            return self._forward_raw(session, route[1], raw)
-        frame = {
-            "op": "EXECUTE_PREPARED", "name": name,
-            "params": request.get("params", []),
-        }
-        if request.get("trace") is not None:
-            frame["trace"] = request["trace"]
-        if route[0] == "shard":
-            shards = [route[1]]
-        elif route[0] in ("scatter", "broadcast", "write_all"):
-            shards = list(range(self.shard_count))
-        else:
-            raise ProtocolError(
-                "EXECUTE_PREPARED cannot target SYS$SHARDS"
-            )
-        merged: dict | None = None
-        for shard in shards:
-            self._ensure_participant(session, shard)
-            if shard not in session.prepared_on[name]:
-                self._call_checked(
-                    session, shard,
-                    {"op": "PREPARE", "name": name, "sql": sql},
-                )
-                session.prepared_on[name].add(shard)
-            response = self._call_checked(session, shard, frame)
-            self._m_forwarded.inc()
-            with self._mutex:
-                self._per_shard_statements[shard] += 1
-            if len(shards) == 1:
-                return response
-            for result in response.get("results", []):
-                if merged is None:
-                    merged = dict(result)
-                    merged["rows"] = list(result.get("rows", []))
-                elif "rows" in merged:
-                    merged["rows"].extend(result.get("rows", []))
-        return ok_response({
-            "results": [merged or _synth_result("EXECUTE")],
-            "trace": request.get("trace"),
-        })
 
     # -- distributed commit ---------------------------------------------------
 
@@ -1309,19 +1189,6 @@ def _may_need_fanout(sql: str) -> bool:
     return any(word in upper for word in _FANOUT_WORDS)
 
 
-#: Client ops counted (and traced) as statements by the router;
-#: PING/STATS/METRICS/TELEMETRY are observability plumbing, not load.
-_STATEMENT_OPS = frozenset({
-    "EXECUTE", "QUERY", "EXPLAIN", "EXECUTE_PREPARED",
-    "BEGIN", "COMMIT", "ROLLBACK", "PREPARE", "DEALLOCATE",
-})
-
-
-def _optional_trace(request: dict) -> str | None:
-    trace = request.get("trace")
-    return trace if isinstance(trace, str) and trace else None
-
-
 def _response_error_code(response) -> str | None:
     """The stable error code of a failed response (None on success).
 
@@ -1350,6 +1217,16 @@ def _synth_statement(kind: str, detail: str) -> dict:
     return ok_response({"results": [_synth_result(kind, detail)]})
 
 
+def _shard_frame(request: dict, op: str, **fields) -> dict:
+    """A fan-out frame: ``op`` and ``fields``, plus the client's trace id
+    and statement timeout."""
+    frame = {"op": op, **fields}
+    for key in ("trace", "timeout"):
+        if request.get(key) is not None:
+            frame[key] = request[key]
+    return frame
+
+
 def _split_script(sql: str, expected: int) -> list[str]:
     """Split a ';'-separated script into statement texts (quote-aware).
     The router needs per-statement texts to route a mixed script; when
@@ -1375,57 +1252,3 @@ def _split_script(sql: str, expected: int) -> list[str]:
             "run its statements separately or add a shard hint"
         )
     return texts
-
-
-# --------------------------------------------------------------------------
-# socketserver plumbing
-# --------------------------------------------------------------------------
-
-class _RouterTCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, address, handler, router: ShardedServer):
-        self.router = router
-        super().__init__(address, handler)
-
-
-class _RouterHandler(socketserver.BaseRequestHandler):
-    """One thread per client connection: a RouterSession + frame loop."""
-
-    def handle(self) -> None:
-        router: ShardedServer = self.server.router
-        session = router.open_session()
-        with router._conn_mutex:
-            router._conn_socks.add(self.request)
-        try:
-            while True:
-                try:
-                    payload = recv_frame_bytes(self.request)
-                    request = (decode_frame(payload)
-                               if payload is not None else None)
-                except ProtocolError as exc:
-                    send_frame(
-                        self.request, error_response(describe_error(exc))
-                    )
-                    return
-                if request is None or request.get("op") == "CLOSE":
-                    if request is not None:
-                        send_frame(self.request, ok_response({"bye": True}))
-                    return
-                response = router.handle_request(session, request, payload)
-                if isinstance(response, bytes):
-                    send_frame_bytes(self.request, response)
-                else:
-                    send_frame(self.request, response)
-        except (ConnectionError, BrokenPipeError, OSError):
-            pass
-        finally:
-            with router._conn_mutex:
-                router._conn_socks.discard(self.request)
-            if router._crashed:
-                # A crashed coordinator sends no rollbacks; its shard
-                # links just die (workers abort the active branches).
-                session.close_links()
-            else:
-                router.close_session(session)

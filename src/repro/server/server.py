@@ -2,44 +2,38 @@
 
 One process owns the :class:`~repro.core.database.MoodDatabase`; clients
 connect over TCP and speak the frame protocol of
-:mod:`repro.server.protocol`.  Each connection gets a dedicated handler
-thread (``socketserver.ThreadingTCPServer``) and one
+:mod:`repro.server.protocol`.  Each connection gets a dedicated thread of
+the shared :class:`~repro.server.protocol.FrameListener` and one
 :class:`~repro.server.session.Session`; statements pass through the
 :class:`~repro.server.admission.AdmissionController` before touching the
 kernel, so a client burst sheds load with retryable ``SERVER_BUSY``
 errors instead of convoying on the engine latch.
 
-Graceful shutdown (:meth:`MoodServer.stop`) runs in order: stop
-accepting connections, refuse new statements (``SHUTTING_DOWN``), wait
-for in-flight statements to drain, roll back every session's open
-transaction, cut a checkpoint, and close the listener.  The store is
-then cold-restartable: recovery finds only committed work.
+Graceful shutdown (:meth:`MoodServer.stop`) runs in order: refuse new
+statements (``SHUTTING_DOWN``), close the listener, wait for in-flight
+statements to drain, roll back every session's open transaction, and cut
+a checkpoint.  The store is then cold-restartable: recovery finds only
+committed work.
 """
 
 from __future__ import annotations
 
-import socket
-import socketserver
 import threading
 import time
 from dataclasses import dataclass
 
 from repro.core.database import MoodDatabase
-from repro.core.errors import (
-    MoodError,
-    ProtocolError,
-    describe_error,
-)
+from repro.core.errors import MoodError, describe_error
 from repro.obs.promtext import render_prometheus
 from repro.obs.trace import DEFAULT_SLOW_MS
 from repro.server.admission import AdmissionController
 from repro.server.protocol import (
-    REQUEST_OPS,
+    FrameListener,
     encode_value,
     error_response,
     ok_response,
-    recv_frame,
-    send_frame,
+    telemetry_response,
+    validate_request,
 )
 from repro.server.session import (
     DEFAULT_STATEMENT_TIMEOUT,
@@ -88,48 +82,35 @@ class MoodServer:
         self._m_connections = component.counter("connections")
         self._m_frames = component.counter("frames")
         self._m_errors = component.counter("errors")
-        self._tcp: _FrameTCPServer | None = None
-        self._accept_thread: threading.Thread | None = None
+        self._listener: FrameListener | None = None
         self._inflight = 0
         self._inflight_mutex = threading.Lock()
         self._drained = threading.Condition(self._inflight_mutex)
         self._stopped = False
         self._crashed = False
-        # Established connection sockets, so a simulated crash can sever
-        # them the way a process kill would.
-        self._conn_socks: set = set()
-        self._conn_mutex = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> tuple[str, int]:
         """Bind, start accepting, and return the bound ``(host, port)``."""
-        if self._tcp is not None:
+        if self._listener is not None:
             raise MoodError("server already started")
-        self._tcp = _FrameTCPServer(
-            (self.config.host, self.config.port), _ConnectionHandler, self
+        self._listener = FrameListener(
+            self, (self.config.host, self.config.port), "mood-server-accept"
         )
-        self._accept_thread = threading.Thread(
-            target=self._tcp.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="mood-server-accept",
-            daemon=True,
-        )
-        self._accept_thread.start()
         if self.config.recluster_interval is not None:
             self.db.start_reclusterer(self.config.recluster_interval)
         return self.address
 
     @property
     def address(self) -> tuple[str, int]:
-        if self._tcp is None:
+        if self._listener is None:
             raise MoodError("server not started")
-        host, port = self._tcp.server_address[:2]
-        return host, port
+        return self._listener.address
 
     def stop(self, graceful: bool = True) -> None:
         """Shut down; with ``graceful`` drain in-flight statements first."""
-        if self._tcp is None or self._stopped:
+        if self._listener is None or self._stopped:
             return
         self._stopped = True
         # 0. Park the background reclusterer: a half-finished batch would
@@ -137,8 +118,10 @@ class MoodServer:
         self.db.stop_reclusterer()
         # 1. No new statements (frames already mid-execution keep going).
         self.sessions.begin_shutdown()
-        # 2. No new connections.
-        self._tcp.shutdown()
+        # 2. No new connections; the listener socket is released, while
+        #    connection threads run on until their clients hang up or
+        #    their next statement is refused with SHUTTING_DOWN.
+        self._listener.close()
         if graceful:
             # 3. Drain: wait for every admitted statement to finish.
             deadline = time.monotonic() + self.config.shutdown_drain
@@ -154,12 +137,6 @@ class MoodServer:
             self.db.kernel.storage.checkpoint()
         else:
             self.sessions.close_all()
-        # 6. Release the listener socket; handler threads are daemonic and
-        #    exit as their clients hang up or their next statement is
-        #    refused with SHUTTING_DOWN.
-        self._tcp.server_close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
 
     def simulate_crash(self) -> None:
         """Die without grace: sever every connection and the listener,
@@ -168,28 +145,14 @@ class MoodServer:
         process kill would leave them; pair with ``storage.crash()`` +
         ``restart()`` to exercise crash recovery (including in-doubt
         resurrection)."""
-        if self._tcp is None or self._stopped:
+        if self._listener is None or self._stopped:
             return
         self._stopped = True
-        self._crashed = True  # handlers must not run their graceful tail
+        self._crashed = True  # connections must not run their graceful tail
         # A process kill takes the reclusterer thread with it; stop it so
         # it cannot keep mutating the storage the test is about to crash.
         self.db.stop_reclusterer()
-        self._tcp.shutdown()
-        self._tcp.server_close()
-        with self._conn_mutex:
-            socks = list(self._conn_socks)
-        for sock in socks:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
+        self._listener.close(sever=True)
 
     def __enter__(self) -> "MoodServer":
         self.start()
@@ -210,16 +173,26 @@ class MoodServer:
             if self._inflight == 0:
                 self._drained.notify_all()
 
-    # -- request dispatch -----------------------------------------------------
+    # -- the listener's owner interface --------------------------------------
 
-    def handle_request(self, session: Session, request: dict) -> dict:
-        """One request frame in, one response frame out."""
+    def open_session(self) -> Session:
+        self._m_connections.inc()
+        return self.sessions.open_session()
+
+    def close_session(self, session: Session) -> None:
+        if not self._crashed:
+            self.sessions.close_session(session)
+            # A connection that died mid-transaction still holds a slot.
+            self._reconcile_ticket(session)
+
+    def handle_request(self, session: Session, request: dict,
+                       raw: bytes | None = None) -> dict:
+        """One request frame in, one response frame out.  ``raw`` (the
+        wire payload) is unused: a single engine has nowhere to relay."""
         self._m_frames.inc()
-        op = request.get("op")
-        if op not in REQUEST_OPS:
-            raise ProtocolError(f"unknown op {op!r}")
         try:
-            return self._dispatch(session, op, request)
+            validate_request(request)
+            return self._dispatch(session, request["op"], request)
         except MoodError as exc:
             self._m_errors.inc()
             return error_response(describe_error(exc))
@@ -251,6 +224,59 @@ class MoodServer:
             self.admission.release()
 
     def _dispatch(self, session: Session, op: str, request: dict) -> dict:
+        trace_id = request.get("trace")
+        if op in ("EXECUTE", "QUERY", "EXPLAIN"):
+            sql = request["sql"]
+            if op == "EXPLAIN" and not sql.lstrip().upper().startswith(
+                    "EXPLAIN"):
+                sql = "EXPLAIN " + sql
+            results = self._admitted(
+                session, self.sessions.execute, sql,
+                timeout=request.get("timeout"), trace_id=trace_id,
+            )
+            return ok_response({
+                "results": [_encode_result(result) for result in results],
+                "trace": session.last_trace_id,
+            })
+        if op == "EXECUTE_PREPARED":
+            result = self._admitted(
+                session, self.sessions.execute_prepared, request["name"],
+                request.get("params") or [],
+                timeout=request.get("timeout"), trace_id=trace_id,
+            )
+            return ok_response({
+                "results": [_encode_result(result)],
+                "trace": session.last_trace_id,
+            })
+        if op == "BEGIN":
+            self._ensure_ticket(session)
+            return _statement_payload(self.sessions.begin(session))
+        if op == "COMMIT":
+            return _statement_payload(self.sessions.commit(session))
+        if op == "ROLLBACK":
+            return _statement_payload(self.sessions.rollback(session))
+        if op == "PREPARE":
+            return _statement_payload(self.sessions.prepare(
+                session, request["name"], request["sql"]
+            ))
+        if op == "DEALLOCATE":
+            return _statement_payload(
+                self.sessions.deallocate(session, request["name"])
+            )
+        if op == "PREPARE_TXN":
+            return _statement_payload(self.sessions.prepare_transaction(
+                session, request["gid"], trace_id=trace_id
+            ))
+        if op == "COMMIT_PREPARED":
+            return _statement_payload(self.sessions.commit_prepared(
+                request["gid"], trace_id=trace_id
+            ))
+        if op == "ROLLBACK_PREPARED":
+            return _statement_payload(self.sessions.rollback_prepared(
+                request["gid"], trace_id=trace_id
+            ))
+        if op == "IN_DOUBT":
+            return ok_response({"gids": self.sessions.in_doubt_gids()})
         if op == "PING":
             return ok_response({"pong": True})
         if op == "STATS":
@@ -260,118 +286,20 @@ class MoodServer:
                 self.db.kernel.storage.metrics
             )})
         if op == "TELEMETRY":
-            return self._telemetry(request)
+            return telemetry_response(self.db.kernel, request)
         if op == "RECLUSTER":
             return self._recluster(request)
-        if op == "BEGIN":
-            self._ensure_ticket(session)
-            return _statement_payload(self.sessions.begin(session))
-        if op == "COMMIT":
-            return _statement_payload(self.sessions.commit(session))
-        if op == "ROLLBACK":
-            return _statement_payload(self.sessions.rollback(session))
-        if op == "PREPARE_TXN":
-            return _statement_payload(
-                self.sessions.prepare_transaction(
-                    session, _require_gid(request),
-                    trace_id=_optional_trace(op, request),
-                )
-            )
-        if op == "COMMIT_PREPARED":
-            return _statement_payload(
-                self.sessions.commit_prepared(
-                    _require_gid(request),
-                    trace_id=_optional_trace(op, request),
-                )
-            )
-        if op == "ROLLBACK_PREPARED":
-            return _statement_payload(
-                self.sessions.rollback_prepared(
-                    _require_gid(request),
-                    trace_id=_optional_trace(op, request),
-                )
-            )
-        if op == "IN_DOUBT":
-            return ok_response({"gids": self.sessions.in_doubt_gids()})
-        if op == "PREPARE":
-            name = _require_name(op, request)
-            sql = request.get("sql")
-            if not isinstance(sql, str):
-                raise ProtocolError("PREPARE needs a string 'sql' field")
-            return _statement_payload(
-                self.sessions.prepare(session, name, sql)
-            )
-        if op == "DEALLOCATE":
-            return _statement_payload(
-                self.sessions.deallocate(session, _require_name(op, request))
-            )
-        if op == "EXECUTE_PREPARED":
-            name = _require_name(op, request)
-            params = request.get("params", [])
-            if not isinstance(params, (list, dict)):
-                raise ProtocolError(
-                    "EXECUTE_PREPARED 'params' must be a list or an object"
-                )
-            trace_id = request.get("trace")
-            if trace_id is not None and not isinstance(trace_id, str):
-                raise ProtocolError(f"{op} 'trace' field must be a string")
-            queue_wait_ms = self._ensure_ticket(session)
-            self._statement_started()
-            try:
-                result = self.sessions.execute_prepared(
-                    session, name, params,
-                    timeout=request.get("timeout"),
-                    trace_id=trace_id, queue_wait_ms=queue_wait_ms,
-                )
-            finally:
-                self._statement_finished()
-            return ok_response({
-                "results": [_encode_result(result)],
-                "trace": session.last_trace_id,
-            })
-        # EXECUTE / QUERY / EXPLAIN enter the kernel: gate them.
-        sql = request.get("sql")
-        if not isinstance(sql, str):
-            raise ProtocolError(f"{op} needs a string 'sql' field")
-        if op == "EXPLAIN" and not sql.lstrip().upper().startswith("EXPLAIN"):
-            sql = "EXPLAIN " + sql
-        timeout = request.get("timeout")
-        trace_id = request.get("trace")
-        if trace_id is not None and not isinstance(trace_id, str):
-            raise ProtocolError(f"{op} 'trace' field must be a string")
+        return ok_response({"bye": True})  # CLOSE; the listener hangs up
+
+    def _admitted(self, session: Session, run, *args, **kwargs):
+        """Run a kernel-entering statement under the session's admission
+        ticket, counted in flight for the graceful-shutdown drain."""
         queue_wait_ms = self._ensure_ticket(session)
         self._statement_started()
         try:
-            results = self.sessions.execute(
-                session, sql, timeout=timeout,
-                trace_id=trace_id, queue_wait_ms=queue_wait_ms,
-            )
+            return run(session, *args, queue_wait_ms=queue_wait_ms, **kwargs)
         finally:
             self._statement_finished()
-        return ok_response({
-            "results": [_encode_result(result) for result in results],
-            "trace": session.last_trace_id,
-        })
-
-    def _telemetry(self, request: dict) -> dict:
-        """The router's observability scatter verb: one SYS$ view's rows,
-        or the whole metrics registry with *mergeable* histogram dumps.
-        Read-only and admission-free -- a monitoring poll must not queue
-        behind (or shed with) the workload it is observing."""
-        view = request.get("view")
-        metrics = self.db.kernel.storage.metrics
-        if view is None:
-            return ok_response({
-                "counters": metrics.counters(),
-                "histograms": metrics.histogram_dumps(),
-            })
-        if not isinstance(view, str):
-            raise ProtocolError("TELEMETRY 'view' must be a string")
-        views = self.db.kernel.system_views
-        # An unknown view answers empty rather than erroring so a newer
-        # router can scatter to an older worker during a rolling upgrade.
-        rows = views.rows(view) if views.has(view) else []
-        return ok_response({"rows": [encode_value(row) for row in rows]})
 
     def _recluster(self, request: dict) -> dict:
         """Dynamic-clustering control: ``run`` a synchronous pass,
@@ -379,26 +307,19 @@ class MoodServer:
         Admission-free like TELEMETRY -- a maintenance pass takes ordinary
         locks and yields on timeout, so it must not hold an admission slot
         while it waits behind the very statements it yields to."""
-        action = request.get("action", "status")
+        action = request.get("action") or "status"
         if action == "run":
             return ok_response({"recluster": self.db.recluster()})
         if action == "start":
-            interval = request.get("interval", 30.0)
-            if not isinstance(interval, (int, float)) or interval <= 0:
-                raise ProtocolError(
-                    "RECLUSTER 'interval' must be a positive number"
-                )
-            self.db.start_reclusterer(float(interval))
+            self.db.start_reclusterer(float(request.get("interval") or 30.0))
             return ok_response({"running": True})
         if action == "stop":
             self.db.stop_reclusterer()
             return ok_response({"running": False})
-        if action == "status":
-            return ok_response({
-                "status": encode_value(self.db.reclusterer.status()),
-                "running": self.db.reclusterer_running,
-            })
-        raise ProtocolError(f"unknown RECLUSTER action {action!r}")
+        return ok_response({
+            "status": encode_value(self.db.reclusterer.status()),
+            "running": self.db.reclusterer_running,
+        })
 
     def _stats(self, session: Session) -> dict:
         kernel = self.db.kernel
@@ -464,79 +385,3 @@ def _encode_result(result) -> dict:
 
 def _statement_payload(result) -> dict:
     return ok_response({"results": [_encode_result(result)]})
-
-
-def _require_name(op: str, request: dict) -> str:
-    name = request.get("name")
-    if not isinstance(name, str) or not name:
-        raise ProtocolError(f"{op} needs a non-empty string 'name' field")
-    return name
-
-
-def _optional_trace(op: str, request: dict) -> str | None:
-    trace_id = request.get("trace")
-    if trace_id is not None and not isinstance(trace_id, str):
-        raise ProtocolError(f"{op} 'trace' field must be a string")
-    return trace_id
-
-
-def _require_gid(request: dict) -> str:
-    gid = request.get("gid")
-    if not isinstance(gid, str) or not gid:
-        raise ProtocolError(
-            f"{request.get('op')} needs a non-empty string 'gid' field"
-        )
-    return gid
-
-
-# --------------------------------------------------------------------------
-# socketserver plumbing
-# --------------------------------------------------------------------------
-
-class _FrameTCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, address, handler, mood_server: MoodServer):
-        self.mood_server = mood_server
-        super().__init__(address, handler)
-
-
-class _ConnectionHandler(socketserver.BaseRequestHandler):
-    """One thread per connection: a session plus a frame loop."""
-
-    def handle(self) -> None:
-        server: MoodServer = self.server.mood_server
-        server._m_connections.inc()
-        with server._conn_mutex:
-            server._conn_socks.add(self.request)
-        try:
-            session = server.sessions.open_session()
-        except MoodError as exc:
-            send_frame(self.request, error_response(describe_error(exc)))
-            return
-        try:
-            while True:
-                try:
-                    request = recv_frame(self.request)
-                except ProtocolError as exc:
-                    # Framing is gone; answer once and hang up.
-                    send_frame(
-                        self.request, error_response(describe_error(exc))
-                    )
-                    return
-                if request is None or request.get("op") == "CLOSE":
-                    if request is not None:
-                        send_frame(self.request, ok_response({"bye": True}))
-                    return
-                response = server.handle_request(session, request)
-                send_frame(self.request, response)
-        except (ConnectionError, BrokenPipeError, OSError):
-            pass  # client vanished; the finally still rolls its txn back
-        finally:
-            with server._conn_mutex:
-                server._conn_socks.discard(self.request)
-            if not server._crashed:
-                server.sessions.close_session(session)
-                # A connection that died mid-transaction still holds a slot.
-                server._reconcile_ticket(session)

@@ -1,6 +1,7 @@
 """Tier-1 wrapper for ``scripts/check_metrics_doc.py``: every metric name
 registered with a literal ``.counter(...)`` / ``.histogram(...)`` call in
-``src/`` must appear in DESIGN.md's Metrics section."""
+``src/`` must appear in DESIGN.md's Metrics section, and DESIGN.md's op
+table must match ``protocol.VERBS``."""
 
 from __future__ import annotations
 
@@ -25,3 +26,26 @@ def test_scanner_sees_known_registrations():
     # this fails before the doc check silently passes on an empty scan.
     for name in ("statement_ms", "queue_wait_ms", "wait_ms", "page_reads"):
         assert name in registered
+
+
+def test_op_table_drift_is_caught_in_both_directions():
+    from repro.server.protocol import VERBS
+
+    design = (REPO / "DESIGN.md").read_text(encoding="utf-8")
+    assert check_metrics_doc.op_table_problems(design, VERBS) == []
+    assert set(check_metrics_doc.documented_ops(design)) == set(VERBS)
+    missing_row = design.replace("| `IN_DOUBT` | — | internal |\n", "")
+    assert check_metrics_doc.op_table_problems(missing_row, VERBS) == [
+        "IN_DOUBT: in VERBS, not in DESIGN.md's op table"
+    ]
+    extra_row = design.replace("| `PING` | — | — |",
+                               "| `PING` | — | — |\n| `FOO` | — | — |")
+    assert check_metrics_doc.op_table_problems(extra_row, VERBS) == [
+        "FOO: in DESIGN.md's op table, not in VERBS"
+    ]
+    wrong_fields = design.replace("| `DEALLOCATE` | `name` | statement |",
+                                  "| `DEALLOCATE` | — | statement |")
+    assert check_metrics_doc.op_table_problems(wrong_fields, VERBS) == [
+        "DEALLOCATE: DESIGN.md says ((), 'statement'), "
+        "VERBS says (('name',), 'statement')"
+    ]

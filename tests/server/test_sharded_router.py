@@ -8,7 +8,7 @@ import zlib
 
 import pytest
 
-from repro.core.errors import ProtocolError
+from repro.core.errors import ProtocolError, TransactionError
 from repro.server import (
     MoodClient,
     MoodServerError,
@@ -168,6 +168,78 @@ def test_prepared_statements_propagate_lazily(sharded):
         with pytest.raises(MoodServerError) as excinfo:
             client.execute_prepared("missing", [1], shard_key=1)
     assert excinfo.value.code == "UNKNOWN_PREPARED"
+
+
+# -- one fan-out for literal and prepared statements ---------------------------
+
+ORDERED = "SELECT i.id FROM Item i WHERE i.id < ? ORDER BY i.id DESC"
+
+
+def test_unhinted_prepared_scatter_merges_order_like_its_literal_twin(
+        sharded):
+    router, _, host, port = sharded
+    with MoodClient(host, port) as client:
+        literal = client.query(ORDERED.replace("?", "6")).scalars()
+        client.prepare("ordered", ORDERED)
+        before = router.metrics.value("shard.scatter_queries")
+        prepared = client.execute_prepared("ordered", [6]).scalars()
+        after = router.metrics.value("shard.scatter_queries")
+    assert literal == [5, 4, 3, 2, 1, 0]
+    assert prepared == literal
+    assert after == before + 1
+
+
+BUMP = "UPDATE Item i SET val = i.val + 1 WHERE i.id < 4"
+
+
+@pytest.mark.parametrize("form", ["literal", "prepared"])
+def test_unhinted_autocommit_write_is_atomic_and_keeps_its_timeout(
+        sharded, form):
+    """Shard 1's Item extent is X-locked by another session: the
+    broadcast UPDATE must time out on the client's budget (not the 30 s
+    default) and leave shard 0 untouched."""
+    import time
+
+    _, backends, host, port = sharded
+    with MoodClient(host, port) as holder, MoodClient(host, port) as client:
+        holder.begin()
+        holder.execute("UPDATE Item i SET val = 111 WHERE i.id = 1",
+                       shard_key=1)
+        if form == "prepared":
+            client.prepare("bump", BUMP.replace("4", "?"))
+        started = time.monotonic()
+        with pytest.raises(MoodServerError) as excinfo:
+            if form == "prepared":
+                client.execute_prepared("bump", [4], timeout=0.3)
+            else:
+                client.execute(BUMP, timeout=0.3)
+        elapsed = time.monotonic() - started
+        holder.rollback()
+    assert excinfo.value.code == "LOCK_TIMEOUT"
+    assert elapsed < 1.0
+    shard0 = backends[0].db.query(
+        "SELECT i.id, i.val FROM Item i WHERE i.id < 4").rows
+    assert sorted(shard0) == [(0, 0), (2, 20)]
+
+
+def test_voted_down_autocommit_broadcast_write_fails(sharded, monkeypatch):
+    """The internal 2PC of an autocommit broadcast write aborts when a
+    shard votes no: the client must see the failure, not ``ok``."""
+    _, backends, host, port = sharded
+    sessions = backends[1].server.sessions
+
+    def vote_no(session, gid, trace_id=None):
+        sessions.rollback(session)
+        raise TransactionError(f"shard 1 votes no on {gid}")
+
+    monkeypatch.setattr(sessions, "prepare_transaction", vote_no)
+    with MoodClient(host, port) as client:
+        with pytest.raises(MoodServerError) as excinfo:
+            client.execute("UPDATE Item i SET val = 1")
+    assert excinfo.value.code == "TRANSACTION"
+    for backend in backends:
+        rows = backend.db.query("SELECT i.id, i.val FROM Item i").rows
+        assert all(val == i * 10 for i, val in rows)
 
 
 # -- error identity across the relay -----------------------------------------
