@@ -219,15 +219,20 @@ class Executor:
         rows = self._exec(node.input)
         self._emit("PROJECT", ", ".join(str(p) for p in node.projections)
                    or "*")
-        # PROJECT's physical effect is binding pruning: the projection
-        # *values* are computed once at result-building time (the kernel
-        # evaluates the expressions over these binding rows), so the
-        # operator keeps every variable those expressions still need --
-        # the query's declared range variables plus any referenced by a
-        # projection -- and drops the planner's synthetic chain variables
-        # (d, e, ...).  Multiplicity is untouched; DUPELIM/UNION decide
-        # duplicates.  Empty projections mean SELECT * (keep everything);
-        # hand-built plans without declared output vars are left alone.
+        # The projection *values* are computed once at result-building
+        # time (the kernel evaluates the expressions over these binding
+        # rows), so PROJECT does two physical things.  It warms every
+        # projection path across the whole batch, one page-ordered
+        # ``deref_many`` per step, so result building chases rows out of
+        # the warm object cache and the chases are charged inside this
+        # span.  And it prunes bindings: it keeps every variable the
+        # expressions still need -- the query's declared range variables
+        # plus any referenced by a projection -- and drops the planner's
+        # synthetic chain variables (d, e, ...).  Multiplicity is
+        # untouched; DUPELIM/UNION decide duplicates.  Empty projections
+        # mean SELECT * (keep everything); hand-built plans without
+        # declared output vars are left alone.
+        self.evaluator.prefetch(node.projections, rows)
         if not node.projections or not self._output_vars:
             return rows
         keep = set(self._output_vars)

@@ -40,10 +40,15 @@ S lock and every write an X lock on the touched extent file (strict 2PL
 via the storage manager), and the shared object cache follows two
 visibility rules so sessions never see each other's uncommitted state:
 
-* a deref by a transaction that holds an X lock on the extent skips the
+* a read by a transaction that holds an X lock on the extent skips the
   ``put`` (its reads may be of its own uncommitted writes);
 * cache hits still require the S lock first, so a reader blocks behind a
   writer exactly as an uncached read would.
+
+:meth:`deref` keeps the rules per OID, :meth:`deref_many` per extent (one
+S lock per extent of the frontier, taken before any of its entries is
+looked up).  The transaction changes no charge: a frontier is
+page-clustered with or without one.
 """
 
 from __future__ import annotations
@@ -272,42 +277,56 @@ class ObjectManager(ObjectStore):
         """Dereference a batch of OIDs: one object per OID given, in the
         caller's order (duplicates included).
 
-        The store alone decides how the batch is charged:
+        The store alone decides how the batch is charged, by one of two
+        policies:
 
         * cache off -- one charged :meth:`deref` per entry, duplicates
           included, in caller order (the paper's one-chase-one-read
           accounting);
-        * under a session transaction -- one :meth:`deref` per distinct
-          OID, which keeps the locking and cache-visibility rules in one
-          place (the engine latch already serialises the statement);
-        * otherwise -- distinct cache misses are grouped by extent and
+        * cache on -- distinct cache misses are grouped by extent and
           fetched in ascending page order, so chases that share a page
           are served by one buffered read instead of one random I/O each.
+
+        A session transaction changes no charge, only the visibility rules
+        :meth:`deref` keeps per OID, here kept per extent: the S lock is
+        taken once per extent before any of its cached entries is looked
+        at (rule 1), and misses from an extent the transaction writes are
+        not put in the shared cache (rule 2).
         """
         oids = list(oids)
         if self.cache is None:
             return [self.deref(oid) for oid in oids]
+        txn = self.current_txn
         distinct = list(dict.fromkeys(oids))
-        if self.current_txn is not None:
-            fetched = {oid: self.deref(oid) for oid in distinct}
-            return [fetched[oid] for oid in oids]
         result: dict[OID, MoodObject] = {}
         misses: dict[str, list[OID]] = {}
         for oid in distinct:
+            class_name = self._class_of(oid)
+            if class_name not in misses:
+                misses[class_name] = []
+                if txn is not None:
+                    # Visibility rule 1: the extent's S lock comes before
+                    # the first lookup of any of its entries.
+                    extent = self.catalog.extent_file(class_name)
+                    self.storage.txns.lock_shared(
+                        txn, ("file", extent.file_id))
             cached = self.cache.get(oid)
             if cached is not None:
                 result[oid] = cached
             else:
-                misses.setdefault(self._class_of(oid), []).append(oid)
+                misses[class_name].append(oid)
         self.cache.note_batch(len(distinct))
         for class_name in sorted(misses):
             extent = self.catalog.extent_file(class_name)
+            shared = not self._writes_extent(txn, extent)   # rule 2
             # OIDs order as (volume, page, slot): sorting clusters the
             # reads by page, ascending -- the paper's assumed pattern.
+            # The extent's S lock is already held, so the reads take none.
             for oid in sorted(misses[class_name]):
                 state = decode(self.storage.read(extent, oid))
-                self.cache.put(oid, class_name, state)
-                result[oid] = MoodObject(oid, class_name, dict(state))
+                if shared:
+                    self.cache.put(oid, class_name, state)
+                result[oid] = MoodObject(oid, class_name, state)
         if self.coaccess is not None:
             # The hop frontier in traversal order is exactly the co-access
             # evidence the clustering policy wants.
@@ -333,16 +352,16 @@ class ObjectManager(ObjectStore):
             oids = [
                 v for v in frontier if isinstance(v, OID) and not v.is_null
             ]
-            objs = self.deref_many(oids) if oids else []
+            # One object per OID, in frontier order.
+            objs = iter(self.deref_many(oids) if oids else ())
             if step == len(attrs):
                 return  # the path's final values are never dereferenced
-            fetched = dict(zip(oids, objs))
             next_frontier: list = []
             for value in frontier:
                 if isinstance(value, MoodObject):
                     obj = value
-                elif isinstance(value, OID) and value in fetched:
-                    obj = fetched[value]
+                elif isinstance(value, OID) and not value.is_null:
+                    obj = next(objs)
                 else:
                     continue
                 attr_value = obj.state.get(attribute)

@@ -1,0 +1,34 @@
+"""Smoke test for ``scripts/io_by_template.py``: its split of the
+model-cost replay adds up to moodbench's own ``charged_io_ms_per_txn``."""
+
+from __future__ import annotations
+
+import dataclasses
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(REPO / "scripts"))
+
+import io_by_template  # noqa: E402
+from moodbench import ladder, spec  # noqa: E402
+
+
+def test_split_adds_up_to_the_benchmark_figure():
+    workload = dataclasses.replace(
+        spec.WORKLOAD_BY_NAME["embedded-traverse"], replay_txns=12)
+    split = io_by_template.split_charged_io(workload, seed=1)
+    expected, failed = ladder.charged_io_ms_per_txn(workload, 1)
+    assert failed == split["failed"] == 0
+    assert split["txns"] == 12
+    assert split["total_ms"] / 12 == pytest.approx(expected)
+    rows = split["rows"]
+    assert sum(ms for _, ms in rows.values()) == pytest.approx(
+        split["total_ms"])
+    templates = set(rows) - {io_by_template.ANALYZE, io_by_template.OUTSIDE}
+    assert templates and templates <= set(io_by_template.gen.TEMPLATES)
+    assert sum(calls for name, (calls, _) in rows.items()
+               if name in templates) >= 12
+    assert "ms/txn" in io_by_template.render(workload, 1, split)
