@@ -40,6 +40,13 @@ def main() -> None:
     print("alice =", sm.read(accounts, alice).decode())
     print("bob   =", sm.read(accounts, bob).decode())
 
+    # --- a second crash right after recovery changes nothing -----------------------
+    sm.crash()
+    report = sm.restart()
+    print(f"CRASH again: losers={report.losers} redone={report.redone}")
+    print("alice =", sm.read(accounts, alice).decode(), "(unchanged)")
+    print("bob   =", sm.read(accounts, bob).decode(), "(unchanged)")
+
     # --- checkpoints bound the redo work -------------------------------------------
     sm.checkpoint()
     with sm.begin() as txn:

@@ -69,7 +69,7 @@ class AdminTool:
         return (
             f"records={len(wal)} last_lsn={wal.last_lsn} "
             f"forced_lsn={wal.forced_lsn} "
-            f"checkpoint_lsn={wal.last_checkpoint_lsn()}"
+            f"checkpoint_lsn={wal.checkpoint_lsn}"
         )
 
     def statistics_report(self) -> str:

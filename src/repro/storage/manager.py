@@ -293,20 +293,21 @@ class StorageManager:
     def restart(self) -> RecoveryReport:
         """Run restart recovery and refresh per-file record counts.
 
-        In-doubt (2PC-prepared) transactions found on the log are
-        resurrected with their lock sets re-held: their pages stay redone
-        (not undone), and only their coordinator's decision -- delivered
-        via ``txns.commit_prepared`` / ``txns.rollback_prepared`` --
-        releases them.
+        Losers are rolled back through the ordinary, logged abort, so a
+        second crash cannot bring their writes back.  In-doubt
+        (2PC-prepared) transactions found on the log are resurrected with
+        their lock sets re-held: their pages stay redone (not undone), and
+        only their coordinator's decision -- delivered via
+        ``txns.commit_prepared`` / ``txns.rollback_prepared`` -- releases
+        them.
         """
-        report = recover(self.wal, self._apply_page_image)
-        for entry in report.in_doubt:
-            if entry.gid not in self.txns.in_doubt:
-                self.txns.resurrect_in_doubt(
-                    entry.gid, entry.txn_id, entry.update_lsns, entry.locks
-                )
-        for storage_file in self._files.values():
-            self._recount(storage_file)
+        # Under the storage latch: a statement still running on a thread
+        # the crash abandoned must not slip its page images in between the
+        # analysis pass and the undo that relies on it.
+        with self.latch:
+            report = recover(self.txns)
+            for storage_file in self._files.values():
+                self._recount(storage_file)
         self.events.emit(
             "recovery.replay",
             winners=len(report.winners), losers=len(report.losers),

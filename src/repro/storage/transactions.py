@@ -3,8 +3,9 @@
 A transaction takes S locks on files it reads and X locks on files it
 writes, holds them to commit/abort (strict 2PL), and logs page images for
 every page it dirties.  Abort undoes the transaction's page updates in
-reverse LSN order from the before-images; commit forces the log first
-(write-ahead rule).
+reverse LSN order from the before-images, logging each restore; commit
+forces the log first (write-ahead rule).  Restart recovery rolls its
+losers back through the same abort.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from enum import Enum
 
 from repro.core.errors import TransactionError
 from repro.storage.locks import LockManager, LockMode
-from repro.storage.wal import LogKind, WriteAheadLog
+from repro.storage.wal import LogKind, LogRecord, WriteAheadLog
 
 
 class TxnState(Enum):
@@ -81,7 +82,7 @@ class TransactionManager:
         """``apply_page_image(volume, page_no, image)`` force-writes a page."""
         self.wal = wal
         self.locks = locks
-        self._apply_page_image = apply_page_image
+        self.apply_page_image = apply_page_image
         self._next_txn_id = 1
         self._id_mutex = threading.Lock()
         #: The storage latch: serialises physical page work (statement
@@ -159,23 +160,17 @@ class TransactionManager:
         self._undo_and_finish(txn)
 
     def _undo_and_finish(self, txn: Transaction) -> None:
-        # Undo this transaction's page updates in reverse order, logging a
-        # compensation update for each so that restart redo-all replays the
-        # undo as well (the classic CLR idea, at page-image granularity).
-        # The latch keeps the page restores (and the recounts/invalidation
-        # the hooks below do) from interleaving with a statement another
-        # session is executing.
+        # The one undo routine (run-time abort, 2PC rollback, and restart
+        # rollback of a loser): restore the transaction's own page images
+        # in reverse LSN order, reached by LSN rather than by scanning the
+        # log, logging a compensation update ahead of each restore so that
+        # a later restart's redo-all replays the undo as well (the classic
+        # CLR idea, at page-image granularity).  The latch keeps the page
+        # restores (and the recounts/invalidation the hooks below do) from
+        # interleaving with a statement another session is executing.
         with self.latch:
-            updates = set(txn.update_lsns)
-            undo_list = [
-                record
-                for record in self.wal.records_reversed()
-                if record.lsn in updates and record.before is not None
-            ]
-            for record in undo_list:
-                self._apply_page_image(
-                    record.volume, record.page_no, record.before
-                )
+            for lsn in reversed(txn.update_lsns):
+                record = self.wal.record(lsn)
                 self.wal.append(
                     LogKind.UPDATE,
                     txn.txn_id,
@@ -183,6 +178,9 @@ class TransactionManager:
                     record.page_no,
                     before=record.after,
                     after=record.before,
+                )
+                self.apply_page_image(
+                    record.volume, record.page_no, record.before
                 )
             self.wal.append(LogKind.ABORT, txn.txn_id)
             self.wal.force()
@@ -249,20 +247,26 @@ class TransactionManager:
         self._undo_and_finish(txn)
         return True
 
-    def resurrect_in_doubt(
-        self, gid: str, txn_id: int, update_lsns, locks
+    def resurrect(
+        self, txn_id: int, update_lsns, prepare: LogRecord | None = None
     ) -> Transaction:
-        """Rebuild an in-doubt transaction after restart recovery: a
-        PREPARED handle holding the lock set its PREPARE record captured
-        (re-acquired as X -- conservative, and uncontended at restart)."""
+        """Rebuild a transaction restart recovery found unfinished on the
+        log.  A loser (no ``prepare`` record) comes back ACTIVE, for
+        :meth:`abort` to roll back; an in-doubt one comes back PREPARED,
+        holding the lock set its PREPARE record captured (re-acquired as
+        X -- conservative, and uncontended at restart) until its
+        coordinator decides."""
         txn = Transaction(txn_id, self)
-        txn.state = TxnState.PREPARED
-        txn.gid = gid
         txn.update_lsns = list(update_lsns)
-        for resource in locks:
-            key = tuple(resource) if isinstance(resource, list) else resource
-            self.locks.acquire(txn_id, key, LockMode.X, timeout=0)
-        self.in_doubt[gid] = txn
         with self._id_mutex:
             self._next_txn_id = max(self._next_txn_id, txn_id + 1)
+        if prepare is None:
+            self.active[txn_id] = txn
+            return txn
+        txn.state = TxnState.PREPARED
+        txn.gid = prepare.gid
+        for resource in prepare.locks:
+            key = tuple(resource) if isinstance(resource, list) else resource
+            self.locks.acquire(txn_id, key, LockMode.X, timeout=0)
+        self.in_doubt[prepare.gid] = txn
         return txn

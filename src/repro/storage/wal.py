@@ -4,8 +4,10 @@ ESM provides MOOD with "backup and recovery of data".  We reproduce it with
 a physical write-ahead log: every page modified by a transaction is logged
 with its full before- and after-image.  Combined with strict file-level
 two-phase locking (no two uncommitted transactions ever write the same
-page), redo-all / undo-losers restart recovery over page images is sound
-and idempotent.
+page), redo-all restart recovery over page images is sound and
+idempotent, and every undo -- run-time abort, 2PC rollback, restart
+rollback of a loser -- is logged as compensation page images, so a
+later restart redoes it too.
 
 The log itself is durable by construction (it survives
 :meth:`~repro.storage.disk.SimulatedDisk.crash`), mirroring a log kept on a
@@ -87,6 +89,7 @@ class WriteAheadLog:
         self._records: list[LogRecord] = []
         self._next_lsn = 1
         self._forced_lsn = 0
+        self._checkpoint_lsn = 0
         self._unforced_bytes = 0
         self._metrics = None
         # Serialises appends and forces: concurrent server sessions commit
@@ -109,6 +112,11 @@ class WriteAheadLog:
     def forced_lsn(self) -> int:
         return self._forced_lsn
 
+    @property
+    def checkpoint_lsn(self) -> int:
+        """LSN of the newest checkpoint record, or 0 when none exists."""
+        return self._checkpoint_lsn
+
     def append(
         self,
         kind: LogKind,
@@ -127,6 +135,8 @@ class WriteAheadLog:
             )
             self._records.append(record)
             self._next_lsn += 1
+            if kind is LogKind.CHECKPOINT:
+                self._checkpoint_lsn = record.lsn
             self._unforced_bytes += 32 + len(before or b"") + len(after or b"")
             if self._metrics is not None:
                 self._metrics.records.inc()
@@ -147,37 +157,10 @@ class WriteAheadLog:
 
     def records(self, from_lsn: int = 1) -> Iterator[LogRecord]:
         with self._mutex:
-            snapshot = list(self._records)
-        for record in snapshot:
-            if record.lsn >= from_lsn:
-                yield record
+            snapshot = self._records[max(from_lsn, 1) - 1:]
+        yield from snapshot
 
-    def records_reversed(self) -> Iterator[LogRecord]:
-        with self._mutex:
-            snapshot = list(self._records)
-        yield from reversed(snapshot)
-
-    def last_checkpoint_lsn(self) -> int:
-        """LSN of the newest checkpoint record, or 0 when none exists."""
-        for record in reversed(self._records):
-            if record.kind is LogKind.CHECKPOINT:
-                return record.lsn
-        return 0
-
-    def transactions_on_log(self) -> dict[int, LogKind]:
-        """Map txn id to its final fate on the log (last control record).
-        A fate of ``PREPARE`` means the transaction is in doubt."""
-        fates: dict[int, LogKind] = {}
-        for record in self._records:
-            if record.kind in (LogKind.BEGIN, LogKind.COMMIT, LogKind.ABORT,
-                               LogKind.PREPARE):
-                fates[record.txn_id] = record.kind
-        return fates
-
-    def prepare_records(self) -> dict[int, LogRecord]:
-        """The newest PREPARE record per txn id (for in-doubt resurrection)."""
-        prepares: dict[int, LogRecord] = {}
-        for record in self._records:
-            if record.kind is LogKind.PREPARE:
-                prepares[record.txn_id] = record
-        return prepares
+    def record(self, lsn: int) -> LogRecord:
+        """The record at ``lsn`` (LSNs are dense from 1): how an undo
+        reaches a transaction's own images without scanning the log."""
+        return self._records[lsn - 1]

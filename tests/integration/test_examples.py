@@ -11,8 +11,7 @@ EXAMPLES = sorted(
 )
 
 
-@pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.stem)
-def test_example_runs(script):
+def _run(script: pathlib.Path) -> str:
     completed = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
@@ -20,7 +19,19 @@ def test_example_runs(script):
         timeout=300,
     )
     assert completed.returncode == 0, completed.stderr[-2000:]
-    assert completed.stdout.strip()  # every example narrates its run
+    return completed.stdout
+
+
+@pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.stem)
+def test_example_runs(script):
+    assert _run(script).strip()  # every example narrates its run
+
+
+def test_crash_recovery_balances_survive_a_second_crash():
+    script = next(p for p in EXAMPLES if p.stem == "crash_recovery")
+    out = _run(script)
+    assert "alice = alice:100 (unchanged)" in out
+    assert "bob   = bob:50 (unchanged)" in out
 
 
 def test_examples_exist():

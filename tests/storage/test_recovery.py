@@ -94,7 +94,7 @@ def test_checkpoint_bounds_redo(sm):
     report = sm.restart()
     # Only the post-checkpoint update is redone.
     assert report.redone == len(
-        [r for r in sm.wal.records(sm.wal.last_checkpoint_lsn() + 1)
+        [r for r in sm.wal.records(sm.wal.checkpoint_lsn + 1)
          if r.kind is LogKind.UPDATE]
     )
     assert sorted(p for _, _, p in sm.scan([f])) == [b"one", b"two"]
@@ -164,3 +164,86 @@ def test_recovery_is_idempotent(sm):
     sm.crash()
     sm.restart()
     assert sm.read(f, oid) == b"stable"
+
+
+def test_loser_write_stays_undone_across_repeated_crashes(sm):
+    """Restart rolls a loser back through the logged abort, so the next
+    restart's redo-all replays the undo, not the loser's write."""
+    f = sm.create_file("data")
+    with sm.begin() as t1:
+        oid = sm.insert(f, b"committed", t1)
+    t2 = sm.begin()
+    sm.update(f, oid, b"loser write", t2)
+    for _ in range(3):
+        sm.crash()
+        sm.restart()
+        assert sm.read(f, oid) == b"committed"
+
+
+def test_restart_logs_one_compensation_per_undone_page(sm):
+    f = sm.create_file("data")
+    with sm.begin() as setup:
+        oids = [sm.insert(f, bytes([i]) * 1500, setup) for i in range(4)]
+    loser = sm.begin()
+    for oid in oids:
+        sm.update(f, oid, b"scribble", loser)
+    sm.crash()
+    tail_from = sm.wal.last_lsn + 1
+    report = sm.restart()
+    tail = list(sm.wal.records(tail_from))
+    assert report.losers == [loser.txn_id]
+    assert report.undone == len(loser.update_lsns) > 1
+    assert [r.kind for r in tail] == (
+        [LogKind.UPDATE] * report.undone + [LogKind.ABORT]
+    )
+    assert all(r.txn_id == loser.txn_id for r in tail)
+
+
+class _ReadCounter(list):
+    """Stands in for the log's record list, counting records read."""
+
+    reads = 0
+
+    def __iter__(self):
+        for record in super().__iter__():
+            self.reads += 1
+            yield record
+
+    def __reversed__(self):
+        for record in super().__reversed__():
+            self.reads += 1
+            yield record
+
+    def __getitem__(self, index):
+        got = super().__getitem__(index)
+        self.reads += len(got) if isinstance(index, slice) else 1
+        return got
+
+
+def test_undo_reads_only_the_transactions_own_records(sm):
+    """Abort and restart undo reach a transaction's images by LSN: with
+    2 000 committed transactions on the log, neither copies nor walks the
+    log (restart reads it exactly once, for analysis and redo)."""
+    f = sm.create_file("data")
+    with sm.begin() as setup:
+        oid = sm.insert(f, b"v", setup)
+    for i in range(2000):
+        with sm.begin() as txn:
+            sm.update(f, oid, b"v%d" % i, txn)
+    log = sm.wal._records = _ReadCounter(sm.wal._records)
+
+    aborted = sm.begin()
+    sm.update(f, oid, b"aborted", aborted)
+    sm.insert(f, b"aborted too", aborted)
+    aborted.abort()
+    assert log.reads == len(aborted.update_lsns) == 2
+
+    loser = sm.begin()
+    sm.update(f, oid, b"loser", loser)
+    sm.crash()
+    log.reads = 0
+    on_log = len(sm.wal)
+    report = sm.restart()
+    assert report.undone == len(loser.update_lsns) == 1
+    assert log.reads == on_log + report.undone
+    assert sm.read(f, oid) == b"v1999"

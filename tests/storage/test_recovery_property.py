@@ -22,11 +22,10 @@ operations = st.lists(
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(operations, st.integers(0, 24))
-def test_property_recovery_equals_committed_state(history, crash_after):
-    sm = StorageManager(buffer_capacity=8)
-    f = sm.create_file("data")
+def play(sm, f, history, crash_after) -> dict:
+    """Run ``history`` as one transaction per operation; at index
+    ``crash_after`` leave one transaction in flight instead (a loser at
+    the crash) and stop.  Return the committed model."""
     committed: dict = {}
     live_oids: list = []
 
@@ -66,29 +65,29 @@ def test_property_recovery_equals_committed_state(history, crash_after):
             txn.abort()
         if checkpoint:
             sm.checkpoint()
+    return committed
 
+
+@settings(max_examples=40, deadline=None)
+@given(operations, st.integers(0, 24))
+def test_property_recovery_equals_committed_state(history, crash_after):
+    sm = StorageManager(buffer_capacity=8)
+    f = sm.create_file("data")
+    committed = play(sm, f, history, crash_after)
     sm.crash()
     sm.restart()
     assert {oid: p for _, oid, p in sm.scan([f])} == committed
 
 
 @settings(max_examples=25, deadline=None)
-@given(operations)
-def test_property_double_crash_recovery_stable(history):
-    """Recovery is idempotent under repeated crash/restart cycles."""
+@given(operations, st.integers(0, 24))
+def test_property_double_crash_recovery_stable(history, crash_after):
+    """Recovery is idempotent under repeated crash/restart cycles, also
+    when a loser (an in-flight insert, or an update of a committed
+    record) was rolled back by the first restart."""
     sm = StorageManager(buffer_capacity=8)
     f = sm.create_file("data")
-    committed: dict = {}
-    for op, payload, commit, checkpoint in history:
-        txn = sm.begin()
-        oid = sm.insert(f, payload, txn)
-        if commit:
-            txn.commit()
-            committed[oid] = payload
-        else:
-            txn.abort()
-        if checkpoint:
-            sm.checkpoint()
+    committed = play(sm, f, history, crash_after)
     for _ in range(3):
         sm.crash()
         sm.restart()
