@@ -17,7 +17,6 @@ def test_table08_cost_parameters(live_db, benchmark):
         lambda: collect_statistics(
             kernel.catalog,
             objects_of=lambda n: list(kernel.objects.iter_extent(n, deep=False)),
-            nbpages_of=lambda n: kernel.catalog.extent_file(n).nbpages(),
         )
     )
     class_rows = [

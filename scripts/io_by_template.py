@@ -7,8 +7,10 @@ statement template and by ANALYZE.
 of a fixed, cold, single-client replay, divided by its transaction count.
 This script replays the very same stream -- same generator, same entry
 point, same buffer-emptying in pairs -- and charges every statement's disk
-time to its template.  Time spent in an implicit ANALYZE inside a
-statement goes to its own ``ANALYZE`` row; whatever moves the clock
+time to its template.  Time spent collecting statistics inside a statement
+goes to its own ``ANALYZE`` row: ``MoodKernel.analyze`` is the one
+collection path, for whole-base collections and for the per-class
+re-measures of a churned class alike.  Whatever moves the clock
 outside a statement (BEGIN/COMMIT) goes to ``(outside statements)``.  The
 rows add up to ``charged_io_ms_per_txn`` exactly.  ``moodbench`` is only
 imported, never changed.
@@ -55,10 +57,10 @@ def split_charged_io(workload: spec.Workload, seed: int) -> dict:
     def charge_analyze(kernel) -> None:
         inner = kernel.analyze
 
-        def analyze():
+        def analyze(classes=None):
             start = clock()
             try:
-                return inner()
+                return inner(classes)
             finally:
                 rows[ANALYZE][0] += 1
                 rows[ANALYZE][1] += clock() - start

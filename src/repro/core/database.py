@@ -1,9 +1,10 @@
 """MoodDatabase: the user-facing facade.
 
 Wraps :class:`~repro.core.kernel.MoodKernel` with conveniences: statement
-scripts, automatic statistics collection before planning, a direct object
-API (the 'defined through C++' route), and I/O accounting helpers for
-experiments.
+scripts, a direct object API (the 'defined through C++' route), and I/O
+accounting helpers for experiments.  Statements go to the kernel as they
+are, and the kernel alone decides when to collect statistics
+(``MoodKernel.refresh_statistics``), so the facade tracks no writes.
 """
 
 from __future__ import annotations
@@ -15,12 +16,6 @@ from repro.core.kernel import (
     StatementResult,
 )
 from repro.model.objects import MoodObject
-from repro.sql.ast import (
-    DeallocateStmt,
-    ExplainStmt,
-    PrepareStmt,
-    SelectQuery,
-)
 from repro.sql.parser import parse_script
 from repro.storage.disk import DiskParams, IOStats
 from repro.storage.oid import OID
@@ -33,7 +28,6 @@ class MoodDatabase:
         self,
         disk_params: DiskParams | None = None,
         buffer_capacity: int = 512,
-        auto_analyze: bool = True,
         cache_enabled: bool = True,
         page_base: int = 0,
     ):
@@ -41,39 +35,19 @@ class MoodDatabase:
             disk_params, buffer_capacity,
             cache_enabled=cache_enabled, page_base=page_base,
         )
-        self.auto_analyze = auto_analyze
-        self._schema_version = 0
-        self._analyzed_version = -1
         self._recluster_daemon = None
 
     # -- statements -------------------------------------------------------------
 
     def execute(self, sql: str) -> QueryResult | StatementResult:
-        """Execute one statement (auto-analyzing before SELECTs)."""
+        """Execute one statement."""
         results = self.execute_script(sql)
         return results[-1]
 
     def execute_script(self, sql: str) -> list[QueryResult | StatementResult]:
         """Execute a ';'-separated script; returns one result per statement."""
-        statements = parse_script(sql)
-        results = []
-        for statement in statements:
-            # EXECUTE resolves to its inner statement *before* the
-            # read-only classification: EXECUTE of a SELECT must not bump
-            # the schema version (that would spuriously re-ANALYZE and
-            # cold the plan cache on every warm execution).
-            resolved = self.kernel.resolve_statement(statement)
-            read_only = isinstance(
-                resolved,
-                (SelectQuery, ExplainStmt, PrepareStmt, DeallocateStmt),
-            )
-            if read_only:
-                self._ensure_statistics()
-            result = self.kernel.execute_statement(resolved)
-            if not read_only:
-                self._schema_version += 1
-            results.append(result)
-        return results
+        return [self.kernel.execute_statement(statement)
+                for statement in parse_script(sql)]
 
     def query(self, sql: str) -> QueryResult:
         result = self.execute(sql)
@@ -91,24 +65,14 @@ class MoodDatabase:
             raise TypeError("explain() is for SELECT statements")
         return result
 
-    def _ensure_statistics(self) -> None:
-        if not self.auto_analyze:
-            return
-        if self._analyzed_version != self._schema_version:
-            self.kernel.analyze()
-            self._analyzed_version = self._schema_version
-
     def analyze(self):
-        stats = self.kernel.analyze()
-        self._analyzed_version = self._schema_version
-        return stats
+        return self.kernel.analyze()
 
     # -- direct object API (the C++ route) -----------------------------------------
 
     def new_object(self, class_name: str, state: dict) -> MoodObject:
         """Create an object directly; MoodObject values become references."""
         converted = {key: _to_storable(value) for key, value in state.items()}
-        self._schema_version += 1  # data changed; stats are stale
         return self.kernel.objects.new_object(class_name, converted)
 
     def get(self, oid: OID) -> MoodObject:
@@ -116,11 +80,9 @@ class MoodDatabase:
 
     def save(self, obj: MoodObject) -> None:
         self.kernel.objects.update_object(obj)
-        self._schema_version += 1
 
     def delete(self, oid: OID) -> None:
         self.kernel.objects.delete_object(oid)
-        self._schema_version += 1
 
     def extent(self, class_name: str, deep: bool = True) -> list[MoodObject]:
         return list(self.kernel.objects.iter_extent(class_name, deep=deep))

@@ -73,6 +73,12 @@ from repro.storage.disk import DiskParams
 from repro.storage.manager import StorageManager
 from repro.storage.oid import NULL_OID
 
+#: A class is re-measured alone before the next plan once its NEW/UPDATE/
+#: DELETE count since it was last measured passes
+#: ``CHURN_BASE + CHURN_FRACTION * |C|``.
+CHURN_BASE = 50
+CHURN_FRACTION = 0.2
+
 
 @dataclass
 class QueryResult:
@@ -171,8 +177,10 @@ class MoodKernel:
         self.active_trace_id = ""
         self._compile_ms = self.storage.metrics.component(
             "plancache").histogram("compile_ms")
-        self._implicit_analyze_count = self.storage.metrics.component(
-            "kernel").counter("implicit_analyze")
+        metrics = self.storage.metrics.component("kernel")
+        self._m_collections = metrics.counter("implicit_analyze")
+        self._m_refreshes = metrics.counter("statistics_refreshes")
+        self._stats_schema = -1  # catalog version of the last collection
         #: Statement dispatch: type -> (handler, plan-cache invalidation
         #: reason).  DDL handlers declare their invalidation effect here,
         #: in one place, instead of scattering cache resets around.
@@ -202,23 +210,73 @@ class MoodKernel:
 
     # -- statistics and planning -------------------------------------------------
 
-    def analyze(self) -> DatabaseStats:
-        """Collect the Table 8 statistics from the live database."""
-        self.stats = collect_statistics(
-            self.catalog,
-            objects_of=lambda name: list(
-                self.objects.iter_extent(name, deep=False)
-            ),
-            nbpages_of=lambda name: self.catalog.extent_file(name).nbpages(),
-        )
+    def analyze(self, classes: list[str] | None = None) -> DatabaseStats:
+        """Collect the Table 8 statistics from the live database: every
+        class, or re-measure just ``classes``.  The one collection path.
+        It reads outside any session transaction: statistics are advisory,
+        and a latched session's no-wait S-lock probe must not fail on
+        another session's X lock."""
+        txn, self.objects.current_txn = self.objects.current_txn, None
+        try:
+            self.stats = collect_statistics(
+                self.catalog,
+                objects_of=lambda name: list(
+                    self.objects.iter_extent(name, deep=False)
+                ),
+                classes=classes,
+                into=None if classes is None else self.stats,
+            )
+        finally:
+            self.objects.current_txn = txn
+        if classes is None:
+            self._stats_schema = self.catalog.schema_version
+            self.objects.churn.clear()
+        else:
+            for name in classes:
+                self.objects.churn.pop(name, None)
         return self.stats
 
     def has_statistics(self) -> bool:
         return bool(self.stats.classes)
 
+    def refresh_statistics(self) -> None:
+        """Run before every plan lookup: the only place the kernel decides
+        to collect.  |C| and nbpages(C) are live, so plain DML costs
+        nothing here.  The whole base is collected when statistics are
+        missing or the catalog changed; a class whose churn passed the
+        threshold is re-measured alone.  Each collection is journaled
+        (``implicit_analyze`` event with trigger, classes, I/O and the
+        trace id that footed the bill) and counted."""
+        classes = None
+        if not self.stats.classes:
+            trigger = "missing"
+        elif self._stats_schema != self.catalog.schema_version:
+            trigger = "schema"
+        else:
+            trigger, classes = "churn", [
+                name for name, writes in self.objects.churn.items()
+                if writes > CHURN_BASE
+                + CHURN_FRACTION * self.objects.count(name)
+            ]
+            if not classes:
+                return
+        before = self.storage.io_snapshot()
+        started = time.perf_counter()
+        self.analyze(classes)
+        delta = self.storage.io_snapshot().since(before)
+        (self._m_collections if classes is None else self._m_refreshes).inc()
+        self.storage.events.emit(
+            "implicit_analyze",
+            trace_id=self.active_trace_id,
+            trigger=trigger,
+            classes=sorted(classes or self.stats.classes),
+            io_pages=delta.page_ios,
+            ms=round((time.perf_counter() - started) * 1e3, 3),
+        )
+        self.trace.append(TraceEvent("IMPLICIT_ANALYZE", trigger))
+        self.plan_cache.invalidate_all("implicit ANALYZE")
+
     def planner(self) -> Planner:
-        if not self.has_statistics():
-            self._implicit_analyze()
         return Planner(
             self.catalog,
             self.stats,
@@ -237,42 +295,12 @@ class MoodKernel:
         self.plan_cache.enabled = enabled
         self.plan_cache.invalidate_all("SET CACHE")
 
-    def _implicit_analyze(self) -> None:
-        """ANALYZE triggered from inside planning (no statistics yet).
-
-        This used to be invisible: the statement that happened to arrive
-        first silently paid a full database scan with no trace, counter,
-        or journal entry.  Now the I/O is measured and the event carries
-        the trace id of the statement that footed the bill.
-        """
-        before = self.storage.io_snapshot()
-        started = time.perf_counter()
-        self.analyze()
-        delta = self.storage.io_snapshot().since(before)
-        self._implicit_analyze_count.inc()
-        self.storage.events.emit(
-            "implicit_analyze",
-            trace_id=self.active_trace_id,
-            classes=len(self.stats.classes),
-            io_pages=delta.page_ios,
-            ms=round((time.perf_counter() - started) * 1e3, 3),
-        )
-        self.trace.append(TraceEvent("IMPLICIT_ANALYZE"))
-        self.plan_cache.invalidate_all("implicit ANALYZE")
-
     # -- the entry point ----------------------------------------------------------
 
     def execute(self, sql: str) -> QueryResult | StatementResult:
         """Parse and execute one MOODSQL statement."""
         statement = parse_sql(sql)
         return self.execute_statement(statement)
-
-    def is_system_select(self, statement: Statement) -> bool:
-        """True when the statement is a SELECT whose every range is a
-        registered SYS$ view (those run without plans or statistics)."""
-        return isinstance(statement, SelectQuery) and bool(
-            statement.ranges
-        ) and all(self.system_views.has(r.class_name) for r in statement.ranges)
 
     def execute_statement(
         self, statement: Statement, spans: SpanRecorder | None = None
@@ -453,12 +481,12 @@ class MoodKernel:
     def _plan_select(self, query: SelectQuery) -> QueryPlan:
         """Optimize a bound SELECT, memoised through the plan cache.
 
-        A hit skips the whole compile back half (simplify, DNF,
-        optimize); a miss pays it once and stores the plan under the
-        catalog/statistics stamps it was costed with.  The stamps are
-        read *after* planning because the planner itself may run the
-        implicit first ANALYZE, which moves the statistics version.
+        Statistics are refreshed before the lookup.  A hit skips the whole
+        compile back half (simplify, DNF, optimize); a miss pays it once
+        and stores the plan under the catalog/statistics stamps it was
+        costed with.
         """
+        self.refresh_statistics()
         key = None
         if self.plan_cache.enabled:
             key = render_statement(query)
@@ -571,6 +599,7 @@ class MoodKernel:
             self.trace.append(TraceEvent("SIMPLIFY"))
             self.trace.append(TraceEvent("DNF"))
             self.trace.append(TraceEvent("OPTIMIZE"))
+            self.refresh_statistics()
             plan = self.planner().plan_query(statement.query)
             self._fuse_plan(plan)
             self.last_plan = plan

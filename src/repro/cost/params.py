@@ -19,15 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.errors import OptimizerError
+from repro.storage.file import StorageFile
 
 
 @dataclass
 class ClassCard:
-    """Per-class statistics: |C|, nbpages(C), size(C)."""
+    """Per-class statistics: |C|, nbpages(C), size(C).  A measured card
+    keeps its extent file and reads |C| and nbpages(C) live from it."""
 
     count: int
     nbpages: int
     size: int
+    extent: StorageFile | None = None
 
 
 @dataclass
@@ -56,9 +59,10 @@ class DatabaseStats:
     classes: dict[str, ClassCard] = field(default_factory=dict)
     attributes: dict[tuple[str, str], AttrStats] = field(default_factory=dict)
     references: dict[tuple[str, str], RefStats] = field(default_factory=dict)
-    #: Statistics-version stamp: every ANALYZE (or hand-built stats set)
-    #: gets a fresh monotonic version, and compiled plans carry the stamp
-    #: they were costed under so the plan cache can refuse stale entries.
+    #: Statistics-version stamp: every collection (whole base or one
+    #: class) gets a fresh monotonic version, and compiled plans carry the
+    #: stamp they were costed under so the plan cache can refuse stale
+    #: entries.
     version: int = 0
 
     # -- setters ----------------------------------------------------------
@@ -82,10 +86,13 @@ class DatabaseStats:
 
     def card(self, class_name: str) -> int:
         """|C|: total number of instances of C."""
-        return self._class(class_name).count
+        card = self._class(class_name)
+        return card.count if card.extent is None \
+            else card.extent.record_count()
 
     def nbpages(self, class_name: str) -> int:
-        return self._class(class_name).nbpages
+        card = self._class(class_name)
+        return card.nbpages if card.extent is None else card.extent.nbpages()
 
     def size(self, class_name: str) -> int:
         return self._class(class_name).size
@@ -124,9 +131,6 @@ class DatabaseStats:
 
     def ref_target(self, attr: str, class_name: str) -> str:
         return self._ref(class_name, attr, None).target
-
-    def has_reference(self, class_name: str, attr: str) -> bool:
-        return (class_name, attr) in self.references
 
     def has_attribute(self, class_name: str, attr: str) -> bool:
         return (class_name, attr) in self.attributes

@@ -5,15 +5,16 @@ gather them.  :func:`collect_statistics` walks class extents and computes
 every parameter the cost model reads -- |C|, nbpages, size, notnull, fan,
 totref, dist, max, min (totlinks and hitprb are derived).  It can also be
 bypassed entirely by building a :class:`DatabaseStats` by hand, which the
-benchmarks use to inject the paper's own (synthetic) numbers.
+benchmarks use to inject the paper's own (synthetic) numbers.  Collected
+class cards keep their extent files, so |C| and nbpages(C) stay live.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from repro.catalog.catalog import Catalog
-from repro.cost.params import DatabaseStats
+from repro.cost.params import ClassCard, DatabaseStats
 from repro.model.objects import MoodObject
 from repro.model.serde import encode
 from repro.model.types import is_atomic, is_reference_like, referenced_class
@@ -23,33 +24,37 @@ from repro.storage.oid import OID
 def collect_statistics(
     catalog: Catalog,
     objects_of: Callable[[str], list[MoodObject]],
-    nbpages_of: Callable[[str], int],
+    classes: Iterable[str] | None = None,
+    into: DatabaseStats | None = None,
 ) -> DatabaseStats:
     """Measure every cost-model parameter from the database.
 
-    ``objects_of(class_name)`` returns the class's own (shallow) extent;
-    ``nbpages_of(class_name)`` its page count.
+    ``objects_of(class_name)`` returns the class's own (shallow) extent.
+    By default every class is measured into a fresh :class:`DatabaseStats`;
+    ``classes`` re-measures just those classes into ``into``.
 
     Every collection gets a fresh :attr:`DatabaseStats.version` stamp, so
     plans costed under older statistics are recognisably stale.
     """
     from repro.core.prepare import next_stats_version
 
-    stats = DatabaseStats(version=next_stats_version())
-    for class_name in catalog.class_names():
+    stats = into if into is not None else DatabaseStats()
+    stats.version = next_stats_version()
+    for class_name in catalog.class_names() if classes is None else classes:
         definition = catalog.class_def(class_name)
         if not definition.is_class:
             continue
         objects = objects_of(class_name)
         count = len(objects)
-        nbpages = nbpages_of(class_name)
+        extent = catalog.extent_file(class_name)
         if count:
             size = round(
                 sum(len(encode(obj.state)) for obj in objects) / count
             )
         else:
             size = 0
-        stats.set_class(class_name, count, nbpages, size)
+        stats.classes[class_name] = ClassCard(count, extent.nbpages(),
+                                              size, extent)
         for attribute in catalog.hierarchy.all_attributes(class_name):
             from repro.catalog.typeparse import parse_type
 

@@ -53,6 +53,7 @@ page-clustered with or without one.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
 from repro.algebra.collections import ObjectStore
@@ -96,6 +97,9 @@ class ObjectManager(ObjectStore):
         #: most one statement consults it at a time).  ``None`` keeps the
         #: embedded single-caller behaviour: no locks, no WAL.
         self.current_txn: Transaction | None = None
+        #: class -> NEW/UPDATE/DELETE (aborted ones too) since the class's
+        #: statistics were last measured; the kernel reads and resets it.
+        self.churn: Counter[str] = Counter()
         self._cache_capacity = DEFAULT_CAPACITY
         self.cache: ObjectCache | None = None
         if cache_enabled:
@@ -221,6 +225,7 @@ class ObjectManager(ObjectStore):
         extent = self.catalog.extent_file(class_name)
         self._track_extent(class_name, extent)
         oid = self.storage.insert(extent, encode(canonical), txn)
+        self.churn[class_name] += 1
         if self.cache is not None:
             # Slotted files recycle slots: a delete + insert can hand the
             # same (volume, page, slot) to a new object.
@@ -406,6 +411,7 @@ class ObjectManager(ObjectStore):
         obj.state = canonical
         self._track_extent(obj.class_name, extent)
         self.storage.update(extent, obj.oid, encode(canonical), txn)
+        self.churn[obj.class_name] += 1
         if self.cache is not None:
             self.cache.invalidate(obj.oid)
         for observer in self.observers:
@@ -420,6 +426,7 @@ class ObjectManager(ObjectStore):
         extent = self.catalog.extent_file(class_name)
         obj = self.deref(oid) if self.observers else None
         self.storage.delete(extent, oid, txn)
+        self.churn[class_name] += 1
         if self.cache is not None:
             self.cache.invalidate(oid)
         for observer in self.observers:

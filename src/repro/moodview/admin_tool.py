@@ -78,9 +78,9 @@ class AdminTool:
         stats = self.kernel.stats
         lines = ["class | |C| | nbpages | size"]
         for name in sorted(stats.classes):
-            card = stats.classes[name]
             lines.append(
-                f"{name} | {card.count} | {card.nbpages} | {card.size}"
+                f"{name} | {stats.card(name)} | {stats.nbpages(name)} | "
+                f"{stats.size(name)}"
             )
         return "\n".join(lines)
 

@@ -245,7 +245,7 @@ class ShardedServer:
         # A miniature local database evaluates SYS$SHARDS with the
         # standard system-view machinery (WHERE/projection/ORDER BY all
         # work); its metrics registry doubles as the router's.
-        self._viewdb = MoodDatabase(buffer_capacity=16, auto_analyze=False)
+        self._viewdb = MoodDatabase(buffer_capacity=16)
         self.metrics = self._viewdb.kernel.storage.metrics
         component = self.metrics.component("shard")
         self._m_forwarded = component.counter("forwarded")

@@ -794,13 +794,6 @@ class SessionManager:
                 raise TransactionAbortedError(
                     f"transaction {txn.txn_id} was rolled back"
                 )
-            read_only = isinstance(statement, (SelectQuery, ExplainStmt))
-            if read_only and not self.kernel.is_system_select(statement):
-                # Statistics refresh scans extents *outside* the session
-                # transaction: physically safe under the latch, and stats
-                # are advisory so strict isolation buys nothing here.
-                # (SYS$ view selects have no plans, hence no statistics.)
-                self.db._ensure_statistics()
             objects.current_txn = txn
             txn.lock_timeout = 0  # no-wait probes only while latched
             if trace is not None:
@@ -808,8 +801,6 @@ class SessionManager:
                 # attribute to this statement's trace.
                 self.kernel.active_trace_id = trace.trace_id
             result = self.kernel.execute_statement(statement, spans=spans)
-            if not read_only:
-                self.db._schema_version += 1
             if trace is not None:
                 if isinstance(result, QueryResult):
                     trace.rows = len(result.rows)

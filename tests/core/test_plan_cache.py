@@ -204,7 +204,7 @@ def test_prepared_execution_and_non_constant_args():
 
 
 def test_implicit_analyze_is_journaled_and_counted():
-    db = MoodDatabase(auto_analyze=False)
+    db = MoodDatabase()
     db.execute("CREATE CLASS P TUPLE (x Integer)")
     db.execute("NEW P <1>")
     db.query("SELECT p.x FROM P p WHERE p.x > 0")

@@ -174,6 +174,7 @@ def test_all_join_methods_agree(db, method):
     """Force each physical method onto the same plan; answers must match."""
     expected = naive_cylinders_eq_2(db)
     sql = "SELECT v FROM Vehicle v WHERE v.drivetrain.engine.cylinders = 2"
+    db.analyze()
     plan = db.kernel.planner().plan_query(
         __import__("repro.sql.parser", fromlist=["parse"]).parse(sql)
     )
@@ -207,6 +208,7 @@ def test_join_methods_have_different_io_profiles(db):
     from repro.sql.parser import parse
 
     db.kernel.objects.set_cache_enabled(False)
+    db.analyze()
 
     profiles = {}
     for method in ("FORWARD_TRAVERSAL", "BACKWARD_TRAVERSAL"):
@@ -318,6 +320,7 @@ def test_hand_built_plan_without_output_vars_is_unpruned(db):
     (the executor cannot know what the caller still needs)."""
     from repro.sql.parser import parse
 
+    db.analyze()
     plan = db.kernel.planner().plan_query(parse(
         "SELECT v.id FROM Vehicle v WHERE v.drivetrain.engine.cylinders = 2"
     ))

@@ -32,3 +32,23 @@ def test_split_adds_up_to_the_benchmark_figure():
     assert sum(calls for name, (calls, _) in rows.items()
                if name in templates) >= 12
     assert "ms/txn" in io_by_template.render(workload, 1, split)
+
+
+def test_server_oltp_split_charges_statistics_to_analyze():
+    """The session path with writes: every statistics collection is charged
+    to the ``ANALYZE`` row through the one collection entry point, and the
+    rows still add up to the benchmark figure."""
+    workload = dataclasses.replace(
+        spec.WORKLOAD_BY_NAME["server-oltp"], replay_txns=12)
+    split = io_by_template.split_charged_io(workload, seed=1)
+    expected, failed = ladder.charged_io_ms_per_txn(workload, 1)
+    assert failed == split["failed"] == 0
+    assert split["txns"] == 12
+    assert split["total_ms"] / 12 == pytest.approx(expected)
+    rows = split["rows"]
+    assert sum(ms for _, ms in rows.values()) == pytest.approx(
+        split["total_ms"])
+    assert set(rows) - {io_by_template.ANALYZE, io_by_template.OUTSIDE} \
+        <= set(io_by_template.gen.TEMPLATES)
+    assert rows.get(io_by_template.ANALYZE, [0, 0.0])[1] \
+        <= 0.01 * split["total_ms"]

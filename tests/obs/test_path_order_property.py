@@ -79,7 +79,7 @@ def _build_instance(rng):
     (null references cost nothing to chase) and random match selectivity.
     Targets are padded to spread over many pages and assigned in shuffled
     order, so a pointer chase is an honest random page access."""
-    db = MoodDatabase(buffer_capacity=2, auto_analyze=False)
+    db = MoodDatabase(buffer_capacity=2)
     for ddl in SCHEMA:
         db.execute(ddl)
     n = rng.randint(30, 60)
