@@ -21,7 +21,9 @@ a path.  Dereferencing has a *fast path* (on by default,
 * :meth:`deref_many` fetches a frontier's distinct misses grouped by
   extent in ascending page order, so N random chases collapse into
   page-clustered reads (consecutive same-page reads are buffer hits) --
-  the access pattern the paper's forward-traversal formula assumes;
+  the access pattern the paper's forward-traversal formula assumes --
+  and a miss a short gap past the disk head reads through the gap
+  instead of seeking (``SimulatedDisk.read_through``);
 * :meth:`warm` walks a path over a whole batch of rows with one
   ``deref_many`` per step;
 * the cache is invalidated on insert/update/delete, cleared wholesale on
@@ -290,7 +292,10 @@ class ObjectManager(ObjectStore):
           accounting);
         * cache on -- distinct cache misses are grouped by extent and
           fetched in ascending page order, so chases that share a page
-          are served by one buffered read instead of one random I/O each.
+          are served by one buffered read instead of one random I/O each,
+          and a page a few pages past the head is read through to rather
+          than sought: about ``min(m * RNDCOST(1), SEQCOST(span))`` for
+          ``m`` misses spanning ``span`` pages.
 
         A session transaction changes no charge, only the visibility rules
         :meth:`deref` keeps per OID, here kept per extent: the S lock is
@@ -325,10 +330,13 @@ class ObjectManager(ObjectStore):
             extent = self.catalog.extent_file(class_name)
             shared = not self._writes_extent(txn, extent)   # rule 2
             # OIDs order as (volume, page, slot): sorting clusters the
-            # reads by page, ascending -- the paper's assumed pattern.
-            # The extent's S lock is already held, so the reads take none.
+            # reads by page, ascending -- the paper's assumed pattern --
+            # and a page a short gap past the head is read through to,
+            # not sought.  The extent's S lock is already held, so the
+            # reads take none.
             for oid in sorted(misses[class_name]):
-                state = decode(self.storage.read(extent, oid))
+                state = decode(self.storage.read(extent, oid,
+                                                 read_through=True))
                 if shared:
                     self.cache.put(oid, class_name, state)
                 result[oid] = MoodObject(oid, class_name, state)

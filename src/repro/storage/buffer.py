@@ -102,8 +102,15 @@ class BufferManager:
 
     # -- core protocol -------------------------------------------------------
 
-    def fetch(self, volume: int, page_no: int) -> bytearray:
-        """Pin the page and return its in-memory frame buffer."""
+    def fetch(self, volume: int, page_no: int,
+              read_through: bool = False) -> bytearray:
+        """Pin the page and return its in-memory frame buffer.
+
+        ``read_through`` (a per-call choice, for page-ordered batches) lets
+        a miss reach its page by reading through a short gap past the
+        disk head instead of seeking (:meth:`SimulatedDisk.read_through`).
+        The gap is measured after the victim is written back, since that
+        write moves the head; only the wanted page enters the pool."""
         page_id = (volume, page_no)
         frame = self._frames.get(page_id)
         if frame is None:
@@ -111,6 +118,8 @@ class BufferManager:
             if self._metrics is not None:
                 self._metrics.misses.inc()
             self._ensure_room()
+            if read_through:
+                self.disk.read_through(volume, page_no)
             frame = _Frame(page_id, bytearray(self.disk.read_page(volume, page_no)))
             self._frames[page_id] = frame
             if len(self._frames) > self.stats.peak_resident:

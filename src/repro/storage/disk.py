@@ -25,6 +25,7 @@ access cost."*  :attr:`DiskParams.esm_sequential_is_random` reproduces it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.core.errors import StorageError, VolumeError
@@ -68,6 +69,17 @@ class DiskParams:
             return 0.0
         return pages * (self.s + self.r + self.btt)
 
+    @property
+    def read_through_limit(self) -> int:
+        """G: the largest gap ``g`` for which reading the ``g`` pages
+        between the head and a wanted page, then the page itself, is
+        cheaper than one seek: ``(g + 1) * ebt < s + r + btt``.  19 pages
+        at the default constants; 0 when sequential access costs as much
+        as random access."""
+        if self.esm_sequential_is_random:
+            return 0
+        return max(0, math.ceil(self.rnd_cost(1) / self.ebt) - 2)
+
 
 @dataclass
 class IOStats:
@@ -79,9 +91,16 @@ class IOStats:
     SEQCOST/RNDCOST derivations.  A sequential chain pays its ``s + r``
     start-up once, on the first (random) access.
 
+    ``read_through`` counts the pages a skip-sequential read passed over
+    on its way to a wanted page (:meth:`SimulatedDisk.read_through`);
+    they are charged, and counted in ``sequential_reads``, like any other
+    sequential read.
+
     ``on_charge(kind, pages, cost_ms)`` is an optional observer the
     metrics registry attaches; it fires once per charge with the access
-    kind (``random_read`` etc.) and is excluded from snapshots and deltas.
+    kind (``random_read`` etc.) and once per read-through with kind
+    ``read_through`` and no cost, and is excluded from snapshots and
+    deltas.
     """
 
     random_reads: int = 0
@@ -89,6 +108,7 @@ class IOStats:
     random_writes: int = 0
     sequential_writes: int = 0
     elapsed_ms: float = 0.0
+    read_through: int = 0
     on_charge: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -137,12 +157,18 @@ class IOStats:
         if self.on_charge is not None:
             self.on_charge("sequential_write", pages, cost)
 
+    def note_read_through(self, pages: int) -> None:
+        self.read_through += pages
+        if self.on_charge is not None:
+            self.on_charge("read_through", pages, 0.0)
+
     def reset(self) -> None:
         self.random_reads = 0
         self.sequential_reads = 0
         self.random_writes = 0
         self.sequential_writes = 0
         self.elapsed_ms = 0.0
+        self.read_through = 0
 
     def snapshot(self) -> "IOStats":
         return IOStats(
@@ -151,6 +177,7 @@ class IOStats:
             random_writes=self.random_writes,
             sequential_writes=self.sequential_writes,
             elapsed_ms=self.elapsed_ms,
+            read_through=self.read_through,
         )
 
     def since(self, earlier: "IOStats") -> "IOStats":
@@ -161,6 +188,7 @@ class IOStats:
             random_writes=self.random_writes - earlier.random_writes,
             sequential_writes=self.sequential_writes - earlier.sequential_writes,
             elapsed_ms=self.elapsed_ms - earlier.elapsed_ms,
+            read_through=self.read_through - earlier.read_through,
         )
 
 
@@ -260,6 +288,27 @@ class SimulatedDisk:
         self._charge(volume, page_no, write=False)
         return bytes(volume.pages[page_no - volume.page_base])
 
+    def read_through(self, volume_id: int, page_no: int) -> None:
+        """Bring the head to just before ``page_no`` by reading the pages
+        in between, when that is cheaper than seeking: the gap ``g`` from
+        the head must satisfy ``0 < g <= params.read_through_limit``.  The
+        gap pages are charged as the sequential reads they are and their
+        bytes discarded, so the following :meth:`read_page` of
+        ``page_no`` is a sequential transfer instead of a seek.  A head
+        with no position on the volume (fresh or after :meth:`crash`)
+        never reads through."""
+        volume = self._volume(volume_id)
+        self._check_page(volume, page_no)
+        head = volume.last_accessed
+        gap = page_no - head - 1
+        if head < volume.page_base or not (
+            0 < gap <= self.params.read_through_limit
+        ):
+            return
+        for gap_page in range(head + 1, page_no):
+            self._charge(volume, gap_page, write=False)
+        self.stats.note_read_through(gap)
+
     def write_page(self, volume_id: int, page_no: int, data: bytes) -> None:
         volume = self._volume(volume_id)
         self._check_page(volume, page_no)
@@ -302,8 +351,12 @@ class SimulatedDisk:
         elapsed = component.counter("elapsed_ms")
         reads = component.counter("page_reads")
         writes = component.counter("page_writes")
+        read_through = component.counter("read_through")
 
         def observe(kind: str, pages: int, cost_ms: float) -> None:
+            if kind == "read_through":   # already charged page by page
+                read_through.inc(pages)
+                return
             transfers.inc(pages)
             elapsed.inc(cost_ms)
             if kind.startswith("random"):

@@ -126,8 +126,9 @@ class StorageFile:
             self.on_new_page(page_no)
         return page_no
 
-    def _page(self, page_no: int) -> SlottedPage:
-        return SlottedPage(self.buffer.fetch(self.volume, page_no))
+    def _page(self, page_no: int, read_through: bool = False) -> SlottedPage:
+        return SlottedPage(
+            self.buffer.fetch(self.volume, page_no, read_through))
 
     # -- record operations --------------------------------------------------
 
@@ -160,20 +161,20 @@ class StorageFile:
         self._free_hints.append(page_no)
         return slot, page_no
 
-    def _read_raw(self, oid: OID) -> bytes:
+    def _read_raw(self, oid: OID, read_through: bool = False) -> bytes:
         if oid.volume != self.volume or oid.page not in self._page_set:
             raise RecordNotFoundError(f"OID {oid} is not in file {self.file_id}")
-        page = self._page(oid.page)
+        page = self._page(oid.page, read_through)
         try:
             raw = page.read(oid.slot)
         finally:
             self.buffer.unpin(self.volume, oid.page, dirty=False)
         return raw
 
-    def _home(self, oid: OID) -> bytes:
+    def _home(self, oid: OID, read_through: bool = False) -> bytes:
         """The raw record at ``oid``, which must be a record's home (DATA
         or a stub), never a body reachable only through its stub."""
-        raw = self._read_raw(oid)
+        raw = self._read_raw(oid, read_through)
         if raw[0] == _TAG_MOVED:
             raise RecordNotFoundError(
                 f"OID {oid} addresses a forwarded body, not a record"
@@ -194,9 +195,11 @@ class StorageFile:
             raise StorageError(f"forwarding stub to {target} finds no body")
         return body
 
-    def read(self, oid: OID) -> bytes:
-        """Read a record payload, following its forwarding stub."""
-        raw = self._home(oid)
+    def read(self, oid: OID, read_through: bool = False) -> bytes:
+        """Read a record payload, following its forwarding stub.
+        ``read_through`` lets a miss on the home page read through a short
+        gap instead of seeking (``BufferManager.fetch``)."""
+        raw = self._home(oid, read_through)
         if raw[0] == _TAG_FWD:
             raw = self._follow(raw)
         return raw[1:]

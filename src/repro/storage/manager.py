@@ -204,11 +204,15 @@ class StorageManager:
         return self._write(storage_file, txn, storage_file.insert, payload)
 
     def read(
-        self, storage_file: StorageFile, oid: OID, txn: Transaction | None = None
+        self, storage_file: StorageFile, oid: OID,
+        txn: Transaction | None = None, read_through: bool = False,
     ) -> bytes:
+        """Read ``oid``'s payload (S-locking the file under ``txn``).
+        ``read_through`` is for callers reading in ascending page order: a
+        miss may then read through a short gap instead of seeking."""
         if txn is not None:
             self.txns.lock_shared(txn, ("file", storage_file.file_id))
-        return storage_file.read(oid)
+        return storage_file.read(oid, read_through)
 
     def update(
         self,
