@@ -1,155 +1,59 @@
-"""The co-access graph: which objects are traversed together, how often.
+"""The access log: which objects traversals touched, in first-touch order.
 
-Nodes are OIDs, edges are weighted by how often two objects of the same
-class were dereferenced consecutively -- the signal DSTC-style dynamic
-clustering policies feed on.  Two sources drive it, both wired through
-:class:`~repro.engine.objects.ObjectManager`:
+The reclusterer packs each class's objects in the order traversals first
+touched them (Darmont et al., "An Advocacy for Simplicity": a simple
+usage-driven placement matches DSTC's pairwise statistics at a fraction
+of the overhead).  The log is one insertion-ordered map of the OIDs
+dereferenced since the last reclustering pass, fed by
+:class:`~repro.engine.objects.ObjectManager` through :meth:`note`:
 
-* ``deref_many`` hop frontiers: a fused traversal dereferences each hop's
-  frontier in traversal order, so consecutive frontier members are
-  exactly the objects a cold replay of the same query will chase
-  back-to-back;
-* single ``deref`` streams: with the object cache off (or under a
-  transaction) the same traversal arrives one chase at a time; a
-  per-class "last dereferenced" register recovers the consecutive pairs.
+* single ``deref`` chases, one at a time (cache off, or one-off gets);
+* ``deref_many`` hop frontiers, in traversal order -- exactly the order
+  a cold replay of the same query will chase them in.
 
-Only same-class pairs become edges: extent files never share pages, so
-cross-class co-location is physically impossible here and cross-class
-pairs would only dilute the budget.  The graph is bounded: when the edge
-budget overflows, the lightest half is dropped (recently-reinforced edges
-survive); :meth:`decay` ages all weights between reclustering runs so the
-policy tracks the *current* workload.
+An OID keeps its first position; later touches do not move it.  The log
+holds at most :data:`MAX_NOTED` OIDs and drops the oldest first.
+:meth:`take` hands the per-class sequences to the reclusterer and starts
+the log empty, so relocated and deleted OIDs never outlive a pass.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterable
 
 from repro.storage.oid import OID
 
-#: Default maximum number of edges kept.
-DEFAULT_MAX_EDGES = 50_000
+#: Most OIDs the log holds; the oldest is dropped first.
+MAX_NOTED = 50_000
 
 
-class CoAccessGraph:
-    """Bounded weighted graph of same-class co-dereference pairs."""
+class CoAccessLog:
+    """Bounded first-touch log of dereferenced OIDs."""
 
-    def __init__(self, max_edges: int = DEFAULT_MAX_EDGES):
-        self.max_edges = max_edges
+    def __init__(self) -> None:
         self._mutex = threading.Lock()
-        # (low OID, high OID) -> weight; both of the same class.
-        self._edges: dict[tuple[OID, OID], float] = {}
-        # OID -> class name for every OID appearing in an edge.
-        self._classes: dict[OID, str] = {}
-        # class name -> OID of its most recent single deref.
-        self._last_single: dict[str, OID] = {}
-        self.pairs_noted = 0
-        self.edges_dropped = 0
+        # OID -> class name, in first-touch order.
+        self._noted: dict[OID, str] = {}
 
     def __len__(self) -> int:
+        return len(self._noted)
+
+    def note(self, members: Iterable[tuple[OID, str]]) -> None:
+        """Record ``(oid, class name)`` derefs in traversal order."""
         with self._mutex:
-            return len(self._edges)
+            noted = self._noted
+            for oid, class_name in members:
+                if oid not in noted:
+                    noted[oid] = class_name
+                    if len(noted) > MAX_NOTED:
+                        del noted[next(iter(noted))]
 
-    # -- recording -----------------------------------------------------------
-
-    def note_deref(self, oid: OID, class_name: str) -> None:
-        """Record one single-object chase; pairs it with the previous
-        chase of the same class."""
+    def take(self) -> dict[str, list[OID]]:
+        """Each class's OIDs in first-touch order; the log starts empty."""
         with self._mutex:
-            last = self._last_single.get(class_name)
-            self._last_single[class_name] = oid
-            if last is not None and last != oid:
-                self._bump(last, oid, class_name)
-
-    def note_frontier(self, members: list[tuple[OID, str]]) -> None:
-        """Record one ``deref_many`` frontier in traversal order; every
-        consecutive same-class pair gains an edge."""
-        with self._mutex:
-            for (a, cls_a), (b, cls_b) in zip(members, members[1:]):
-                if cls_a == cls_b and a != b:
-                    self._bump(a, b, cls_a)
-
-    def _bump(self, a: OID, b: OID, class_name: str, weight: float = 1.0) -> None:
-        key = (a, b) if a <= b else (b, a)
-        self._edges[key] = self._edges.get(key, 0.0) + weight
-        self._classes[a] = class_name
-        self._classes[b] = class_name
-        self.pairs_noted += 1
-        if len(self._edges) > self.max_edges:
-            self._evict()
-
-    def _evict(self) -> None:
-        """Drop the lightest half of the edges (budget overflow)."""
-        keep = sorted(self._edges.items(), key=lambda kv: kv[1],
-                      reverse=True)[: self.max_edges // 2]
-        self.edges_dropped += len(self._edges) - len(keep)
-        self._edges = dict(keep)
-        live = {oid for key in self._edges for oid in key}
-        self._classes = {
-            oid: cls for oid, cls in self._classes.items() if oid in live
-        }
-
-    # -- maintenance ---------------------------------------------------------
-
-    def rename(self, old_oid: OID, new_oid: OID) -> None:
-        """Carry an OID's accumulated affinity over to its new identity
-        after a relocation."""
-        with self._mutex:
-            cls = self._classes.pop(old_oid, None)
-            if cls is None:
-                return
-            self._classes[new_oid] = cls
-            for key in [k for k in self._edges if old_oid in k]:
-                weight = self._edges.pop(key)
-                a, b = key
-                a = new_oid if a == old_oid else a
-                b = new_oid if b == old_oid else b
-                if a == b:
-                    continue
-                new_key = (a, b) if a <= b else (b, a)
-                self._edges[new_key] = self._edges.get(new_key, 0.0) + weight
-            for cls_name, last in list(self._last_single.items()):
-                if last == old_oid:
-                    self._last_single[cls_name] = new_oid
-
-    def forget(self, oid: OID) -> None:
-        """Drop an OID entirely (object deleted)."""
-        with self._mutex:
-            self._classes.pop(oid, None)
-            for key in [k for k in self._edges if oid in k]:
-                del self._edges[key]
-
-    def decay(self, factor: float = 0.5, floor: float = 0.25) -> None:
-        """Age every weight by ``factor``; edges below ``floor`` vanish."""
-        with self._mutex:
-            decayed = {
-                key: weight * factor
-                for key, weight in self._edges.items()
-                if weight * factor >= floor
-            }
-            self.edges_dropped += len(self._edges) - len(decayed)
-            self._edges = decayed
-
-    def clear(self) -> None:
-        with self._mutex:
-            self._edges.clear()
-            self._classes.clear()
-            self._last_single.clear()
-
-    # -- consumption ---------------------------------------------------------
-
-    def class_names(self) -> list[str]:
-        """Classes with at least one edge."""
-        with self._mutex:
-            return sorted({cls for cls in self._classes.values()})
-
-    def edges_for_class(self, class_name: str) -> list[tuple[OID, OID, float]]:
-        """``(a, b, weight)`` edges of one class, heaviest first."""
-        with self._mutex:
-            out = [
-                (a, b, weight)
-                for (a, b), weight in self._edges.items()
-                if self._classes.get(a) == class_name
-            ]
-        out.sort(key=lambda e: (-e[2], e[0], e[1]))
-        return out
+            noted, self._noted = self._noted, {}
+        sequences: dict[str, list[OID]] = {}
+        for oid, class_name in noted.items():
+            sequences.setdefault(class_name, []).append(oid)
+        return sequences

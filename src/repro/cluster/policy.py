@@ -1,20 +1,15 @@
-"""Greedy DSTC-style placement: co-accessed objects onto shared pages.
+"""Traversal-order placement: pack a class's objects as they were touched.
 
-Darmont's comparison study of OO clustering techniques (and the follow-up
-"advocacy for simplicity") found that a simple greedy statistics-driven
-policy captures most of the locality win of far more elaborate schemes.
-This module is that policy, pure and stateless:
+The access log (:mod:`repro.cluster.coaccess`) yields each class's
+objects in the order traversals first touched them.  The policy cuts that
+sequence, in order, into groups of one page's capacity; the reclusterer
+moves each group onto one fresh page, so a cold replay of the same
+traversals reads each page once, in the order it wants them.
 
-1. take one class's co-access edges, heaviest first;
-2. union-find them into clusters capped at the page's object capacity
-   (an edge that would overflow either cluster is skipped);
-3. order clusters by their internal weight and emit each as one target
-   *page group* -- the ordered list of OIDs the reclusterer should
-   co-locate on one fresh page.
-
-Groups whose members already share a page are filtered out (nothing to
-gain), so a second run over an already-clustered workload converges to
-no work.
+A class is left alone when its sequence already visits each of its pages
+in one contiguous run and those pages home no other live record: the
+layout a previous pass left, whatever the record sizes.  A second pass
+over an unchanged workload therefore moves nothing.
 """
 
 from __future__ import annotations
@@ -29,138 +24,54 @@ class PlacementPlan:
     """The policy's output for one class."""
 
     class_name: str
-    #: Each inner list is one target page's worth of OIDs, heaviest
-    #: cluster first.
+    #: Each inner list is one target page's worth of OIDs, in
+    #: first-touch order.
     groups: list[list[OID]] = field(default_factory=list)
-    #: Pages a cold traversal touches today: each group's distinct current
-    #: pages, summed per group (groups sharing a source page each pay for
-    #: it -- a traversal of either group reads it separately).
+    #: Distinct pages the sequence occupies today.
     pages_before: int = 0
-    #: Pages they will occupy afterwards (= ``len(groups)``).
+    #: Pages it will occupy afterwards (= ``len(groups)``).
     pages_after: int = 0
-
-    @property
-    def moves(self) -> int:
-        return sum(len(group) for group in self.groups)
-
-    @property
-    def estimated_gain(self) -> float:
-        """Cold-traversal I/O ratio before/after (>= 1.0 is a win)."""
-        if not self.pages_after:
-            return 1.0
-        return self.pages_before / self.pages_after
-
-
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[OID, OID] = {}
-        self.size: dict[OID, int] = {}
-
-    def find(self, oid: OID) -> OID:
-        root = oid
-        while self.parent.get(root, root) != root:
-            root = self.parent[root]
-        while self.parent.get(oid, oid) != oid:
-            self.parent[oid], oid = root, self.parent[oid]
-        return root
-
-    def add(self, oid: OID) -> None:
-        if oid not in self.parent:
-            self.parent[oid] = oid
-            self.size[oid] = 1
-
-    def union(self, a: OID, b: OID, cap: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return True
-        if self.size[ra] + self.size[rb] > cap:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
 
 
 def plan_placements(
     class_name: str,
-    edges: list[tuple[OID, OID, float]],
+    sequence: list[OID],
     objects_per_page: int,
-    min_weight: float = 1.0,
-    current_page_of=None,
+    page_oids,
 ) -> PlacementPlan:
     """Compute the placement plan for one class.
 
-    ``edges`` come from :meth:`CoAccessGraph.edges_for_class` (heaviest
-    first); ``objects_per_page`` caps cluster size; edges below
-    ``min_weight`` are noise and ignored.  ``current_page_of(oid)`` (when
-    given) lets the plan drop groups that are already co-located and
-    count the pages the traversal touches today.
+    ``sequence`` is the class's OIDs in first-touch order;
+    ``objects_per_page`` sizes the groups; ``page_oids(page)`` lists the
+    live OIDs homed on a page.  Members no longer live are dropped.
     """
     plan = PlacementPlan(class_name)
     if objects_per_page < 2:
         return plan
-    if current_page_of is not None:
-        # Stability: among equal weights, union already-co-located pairs
-        # first so the previous run's placement is re-affirmed before
-        # cross-page edges spend cluster capacity.  Without this the
-        # chunking of equal-weight chains depends on OID order -- which
-        # every relocation changes -- and successive runs oscillate
-        # instead of converging to no work.
-        pages = {}
-
-        def _page(oid):
-            if oid not in pages:
-                pages[oid] = current_page_of(oid)
-            return pages[oid]
-
-        edges = sorted(
-            edges,
-            key=lambda e: (
-                -e[2],
-                _page(e[0]) is None or _page(e[0]) != _page(e[1]),
-                e[0], e[1],
-            ),
-        )
-    uf = _UnionFind()
-    cluster_weight: dict[OID, float] = {}
-    order: dict[OID, int] = {}
-    for a, b, weight in edges:
-        if weight < min_weight:
-            continue
-        uf.add(a)
-        uf.add(b)
-        order.setdefault(a, len(order))
-        order.setdefault(b, len(order))
-        root_a, root_b = uf.find(a), uf.find(b)
-        if root_a == root_b:
-            cluster_weight[root_a] = cluster_weight.get(root_a, 0.0) + weight
-        elif uf.union(a, b, objects_per_page):
-            merged = (
-                cluster_weight.pop(root_a, 0.0)
-                + cluster_weight.pop(root_b, 0.0)
-                + weight
-            )
-            cluster_weight[uf.find(a)] = merged
-    clusters: dict[OID, list[OID]] = {}
-    for oid in uf.parent:
-        clusters.setdefault(uf.find(oid), []).append(oid)
-    ranked = sorted(
-        (members for members in clusters.values() if len(members) >= 2),
-        key=lambda members: -cluster_weight.get(uf.find(members[0]), 0.0),
-    )
-    pages_before = 0
-    for members in ranked:
-        # First-touch order within the group (page-internal order does
-        # not matter for I/O, but determinism matters for tests).
-        members.sort(key=lambda oid: order[oid])
-        if current_page_of is not None:
-            pages = {current_page_of(oid) for oid in members}
-            pages.discard(None)
-            if len(pages) <= 1:
-                continue  # already co-located: no I/O to win
-            pages_before += len(pages)
-        plan.groups.append(members)
-    plan.pages_before = pages_before
+    # One listing per page, read in ascending page order.
+    homed = {
+        page: set(page_oids(page))
+        for page in sorted({oid.page for oid in sequence})
+    }
+    live = [oid for oid in sequence if oid in homed[oid.page]]
+    if len(live) < 2 or _packed(live, homed):
+        return plan
+    plan.groups = [
+        live[start:start + objects_per_page]
+        for start in range(0, len(live), objects_per_page)
+    ]
+    plan.pages_before = len({oid.page for oid in live})
     plan.pages_after = len(plan.groups)
     return plan
+
+
+def _packed(live: list[OID], homed: dict[int, set[OID]]) -> bool:
+    """True when ``live`` visits each of its pages in one contiguous run
+    and those pages home nothing else."""
+    visited: list[int] = []
+    for oid in live:
+        if not visited or visited[-1] != oid.page:
+            visited.append(oid.page)
+    if len(visited) != len(set(visited)):
+        return False
+    return sum(len(homed[page]) for page in visited) == len(live)

@@ -1,7 +1,8 @@
 """The online reclusterer: execute placement plans in small WAL'd batches.
 
-Each run turns the co-access graph into per-class :class:`PlacementPlan`s
-and executes them batch by batch.  A batch is one ordinary transaction:
+Each run takes the access log's per-class first-touch sequences, turns
+them into :class:`PlacementPlan`s and executes those batch by batch.  A
+batch is one ordinary transaction:
 
 1. take X locks (sorted, with a short lock timeout) on every extent file
    plus the catalog's system files -- relocation re-identifies objects,
@@ -15,10 +16,10 @@ and executes them batch by batch.  A batch is one ordinary transaction:
    object-cache entries; then commit.
 
 A lock timeout aborts only the current batch -- the WAL undoes its page
-images -- and the run resumes at the next tick, so foreground statements
-are never blocked for long.  Strict 2PL makes the whole batch atomic to
-concurrent sessions: they either see the old placement or the new one,
-never a torn mix.
+images -- and its OIDs go back into the access log for the next tick, so
+foreground statements are never blocked for long.  Strict 2PL makes the
+whole batch atomic to concurrent sessions: they either see the old
+placement or the new one, never a torn mix.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ def _replace_oids(value, mapping: dict[OID, OID]):
 
 
 class Reclusterer:
-    """Executes DSTC-style placement plans online, one batch at a time."""
+    """Executes traversal-order placement plans online, one batch at a
+    time."""
 
     def __init__(
         self,
@@ -103,8 +105,6 @@ class Reclusterer:
         coaccess,
         batch_size: int = DEFAULT_BATCH_SIZE,
         lock_timeout: float = DEFAULT_LOCK_TIMEOUT,
-        min_weight: float = 1.0,
-        decay: float = 0.5,
     ):
         self.storage = storage
         self.catalog = catalog
@@ -113,8 +113,6 @@ class Reclusterer:
         self.coaccess = coaccess
         self.batch_size = max(1, batch_size)
         self.lock_timeout = lock_timeout
-        self.min_weight = min_weight
-        self.decay = decay
         self._counters = _ClusterCounters(
             storage.metrics.component("cluster")
         )
@@ -157,23 +155,22 @@ class Reclusterer:
         with self.storage.latch:
             return oid.page if extent.exists(oid) else None
 
+    def _page_oids(self, extent, page: int) -> list[OID]:
+        with self.storage.latch:
+            return extent.page_oids(page)
+
     def plan(self) -> list[PlacementPlan]:
-        """Current placement plans, one per class with co-access edges."""
+        """Placement plans for the classes noted since the last pass, one
+        per class with work to do; the access log starts empty."""
         plans = []
-        for class_name in self.coaccess.class_names():
+        for class_name, sequence in sorted(self.coaccess.take().items()):
             try:
                 extent = self.catalog.extent_file(class_name)
             except Exception:
-                continue  # class dropped since the edges were recorded
-            capacity = self._objects_per_page(extent)
-            if capacity < 2:
-                continue
+                continue  # class dropped since the derefs were noted
             plan = plan_placements(
-                class_name,
-                self.coaccess.edges_for_class(class_name),
-                capacity,
-                min_weight=self.min_weight,
-                current_page_of=lambda oid, e=extent: self._page_of(e, oid),
+                class_name, sequence, self._objects_per_page(extent),
+                lambda page, e=extent: self._page_oids(e, page),
             )
             if plan.groups:
                 plans.append(plan)
@@ -201,7 +198,6 @@ class Reclusterer:
                 timeouts += timed_out
             if gain_after:
                 self.last_gain = gain_before / gain_after
-            self.coaccess.decay(self.decay)
             self.runs += 1
             self._counters.runs.inc()
             self.last_run_at = time.time()
@@ -269,6 +265,10 @@ class Reclusterer:
             self.storage.events.emit(
                 "cluster.batch_yield", class_name=class_name,
                 groups=len(groups),
+            )
+            # Retry at the next run: the yielded groups go back in the log.
+            self.coaccess.note(
+                (oid, class_name) for group in groups for oid in group
             )
             return None
 
@@ -377,7 +377,7 @@ class Reclusterer:
             "index_rewrites": self.index_rewrites,
             "lock_timeouts": self.lock_timeouts,
             "estimated_gain": round(self.last_gain, 3),
-            "coaccess_edges": len(self.coaccess),
+            "objects_noted": len(self.coaccess),
             "last_run_at": self.last_run_at,
             "last_error": self.last_error,
         }

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.catalog.catalog import Catalog
 from repro.catalog.cppfront import generate_header
 from repro.catalog.entities import MoodsFunction
-from repro.cluster.coaccess import CoAccessGraph
+from repro.cluster.coaccess import CoAccessLog
 from repro.cluster.recluster import Reclusterer
 from repro.core.errors import ExecutionError, MoodSqlError
 from repro.core.prepare import (
@@ -151,9 +151,9 @@ class MoodKernel:
             self.storage, self.catalog, cache_enabled=cache_enabled,
         )
         self.indexes = IndexManager(self.storage, self.catalog, self.objects)
-        #: Dynamic clustering: deref traffic feeds the co-access graph,
-        #: the reclusterer executes DSTC-style placements online.
-        self.coaccess = CoAccessGraph()
+        #: Dynamic clustering: deref traffic feeds the access log, the
+        #: reclusterer packs each class in first-touch order online.
+        self.coaccess = CoAccessLog()
         self.objects.coaccess = self.coaccess
         self.reclusterer = Reclusterer(
             self.storage, self.catalog, self.objects, self.indexes,

@@ -89,8 +89,8 @@ class ObjectManager(ObjectStore):
         # file_id -> class name of extents whose allocation callback is
         # wired (file ids are never reused, so entries cannot go stale).
         self._tracked_extents: dict[int, str] = {}
-        #: Optional co-access graph (``repro.cluster``): the kernel plugs
-        #: one in so deref traffic feeds the reclustering policy.
+        #: Optional access log (``repro.cluster``): the kernel plugs one
+        #: in so deref traffic feeds the reclustering policy.
         self.coaccess = None
         #: observers notified as (event, obj, old_state) for index upkeep
         self.observers: list = []
@@ -267,7 +267,7 @@ class ObjectManager(ObjectStore):
 
     def _note_access(self, oid: OID, class_name: str) -> None:
         if self.coaccess is not None:
-            self.coaccess.note_deref(oid, class_name)
+            self.coaccess.note(((oid, class_name),))
 
     def _writes_extent(self, txn: Transaction | None, extent) -> bool:
         """True when ``txn`` holds the X lock on ``extent``'s file."""
@@ -341,10 +341,10 @@ class ObjectManager(ObjectStore):
                     self.cache.put(oid, class_name, state)
                 result[oid] = MoodObject(oid, class_name, state)
         if self.coaccess is not None:
-            # The hop frontier in traversal order is exactly the co-access
-            # evidence the clustering policy wants.
-            self.coaccess.note_frontier(
-                [(oid, result[oid].class_name) for oid in distinct]
+            # The hop frontier in traversal order is the order a cold
+            # replay will chase it in: the clustering policy's evidence.
+            self.coaccess.note(
+                (oid, result[oid].class_name) for oid in distinct
             )
         return [result[oid] for oid in oids]
 
@@ -393,8 +393,6 @@ class ObjectManager(ObjectStore):
         target page at allocation time)."""
         if self.cache is not None:
             self.cache.rehome(old_oid, new_oid, class_name)
-        if self.coaccess is not None:
-            self.coaccess.rename(old_oid, new_oid)
 
     def update_object(
         self,

@@ -175,7 +175,7 @@ def register_kernel_views(kernel) -> None:
         CLUSTERING_COLUMNS,
         clustering_rows,
         "the background reclusterer: moves done, pages compacted, "
-        "estimated cold-traversal locality gain, co-access graph size",
+        "estimated cold-traversal locality gain, access-log size",
     )
 
     views.register(
@@ -227,7 +227,7 @@ CLUSTERING_COLUMNS: tuple[tuple[str, str], ...] = (
     ("index_rewrites", "Integer"),
     ("lock_timeouts", "Integer"),
     ("estimated_gain", "Float"),
-    ("coaccess_edges", "Integer"),
+    ("objects_noted", "Integer"),
     ("last_run_at", "Float"),
     ("last_error", "String"),
 )

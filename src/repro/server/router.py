@@ -637,7 +637,7 @@ class ShardedServer:
 
     def _recluster_op(self, request: dict) -> dict:
         """Broadcast a dynamic-clustering command: every shard runs its
-        own reclusterer over its own co-access graph (objects never move
+        own reclusterer over its own access log (objects never move
         *between* shards here -- placement is a per-store concern).  A
         ``shard`` hint narrows the command to one worker.  Per-shard
         answers come back keyed by shard; a dead shard reports an

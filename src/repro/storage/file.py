@@ -326,6 +326,13 @@ class StorageFile:
             for slot, raw in entries if raw[0] != _TAG_MOVED
         ]
 
+    def page_oids(self, page_no: int) -> list[OID]:
+        """The live OIDs homed on ``page_no``; none once the file no
+        longer owns the page."""
+        if page_no not in self._page_set:
+            return []
+        return [oid for oid, _ in self.scan_page(page_no)]
+
     def oids(self) -> list[OID]:
         return [oid for oid, _ in self.scan()]
 

@@ -1,6 +1,8 @@
-"""The co-access graph: pair recording, bounds, rename and decay."""
+"""The access log: first-touch order per class, one feed, bounded."""
 
-from repro.cluster.coaccess import CoAccessGraph
+from repro.cluster import coaccess
+from repro.cluster.coaccess import CoAccessLog
+from repro.core.database import MoodDatabase
 from repro.storage.oid import OID
 
 
@@ -8,91 +10,56 @@ def _oid(n):
     return OID(1, n, 0)
 
 
-def test_single_derefs_pair_consecutively_per_class():
-    g = CoAccessGraph()
-    g.note_deref(_oid(1), "A")
-    g.note_deref(_oid(2), "A")
-    g.note_deref(_oid(3), "A")
-    edges = g.edges_for_class("A")
-    assert {(a, b) for a, b, _ in edges} == {
-        (_oid(1), _oid(2)), (_oid(2), _oid(3))
+def test_first_touch_order_per_class():
+    log = CoAccessLog()
+    for n, cls in ((1, "A"), (10, "B"), (2, "A"), (1, "A"), (11, "B")):
+        log.note([(_oid(n), cls)])
+    # A repeat touch keeps its first position.
+    assert log.take() == {
+        "A": [_oid(1), _oid(2)], "B": [_oid(10), _oid(11)],
     }
 
 
-def test_classes_keep_separate_last_registers():
-    g = CoAccessGraph()
-    g.note_deref(_oid(1), "A")
-    g.note_deref(_oid(10), "B")
-    g.note_deref(_oid(2), "A")   # pairs with oid 1, not the B chase
-    assert {(a, b) for a, b, _ in g.edges_for_class("A")} == {
-        (_oid(1), _oid(2))
-    }
-    assert g.edges_for_class("B") == []
+def test_frontiers_and_single_derefs_share_one_sequence():
+    log = CoAccessLog()
+    log.note([(_oid(1), "A"), (_oid(2), "A"), (_oid(9), "B"), (_oid(3), "A")])
+    log.note([(_oid(4), "A")])
+    log.note([(_oid(2), "A"), (_oid(5), "A")])
+    assert log.take()["A"] == [_oid(n) for n in (1, 2, 3, 4, 5)]
 
 
-def test_frontier_pairs_consecutive_same_class_members():
-    g = CoAccessGraph()
-    g.note_frontier([
-        (_oid(1), "A"), (_oid(2), "A"), (_oid(9), "B"), (_oid(3), "A"),
-    ])
-    assert {(a, b) for a, b, _ in g.edges_for_class("A")} == {
-        (_oid(1), _oid(2))
-    }
+def test_overflow_drops_oldest_first(monkeypatch):
+    monkeypatch.setattr(coaccess, "MAX_NOTED", 3)
+    log = CoAccessLog()
+    log.note((_oid(n), "A") for n in range(1, 6))
+    assert len(log) == 3
+    assert log.take() == {"A": [_oid(3), _oid(4), _oid(5)]}
 
 
-def test_repeat_pairs_accumulate_weight_and_sort_heaviest_first():
-    g = CoAccessGraph()
-    for _ in range(3):
-        g.note_frontier([(_oid(1), "A"), (_oid(2), "A")])
-    g.note_frontier([(_oid(2), "A"), (_oid(3), "A")])
-    edges = g.edges_for_class("A")
-    assert edges[0] == (_oid(1), _oid(2), 3.0)
-    assert edges[1][2] == 1.0
+def test_take_starts_the_log_empty():
+    log = CoAccessLog()
+    log.note([(_oid(1), "A")])
+    assert log.take() == {"A": [_oid(1)]}
+    assert len(log) == 0
+    assert log.take() == {}
 
 
-def test_overflow_drops_lightest_half():
-    g = CoAccessGraph(max_edges=10)
-    heavy = [(_oid(1), "A"), (_oid(2), "A")]
-    for _ in range(5):
-        g.note_frontier(heavy)
-    for n in range(3, 30, 2):
-        g.note_frontier([(_oid(n), "A"), (_oid(n + 1), "A")])
-    assert len(g) <= 10
-    assert g.edges_dropped > 0
-    # The reinforced edge survived the evictions.
-    assert g.edges_for_class("A")[0][:2] == (_oid(1), _oid(2))
-
-
-def test_rename_carries_weight_to_new_identity():
-    g = CoAccessGraph()
-    for _ in range(2):
-        g.note_frontier([(_oid(1), "A"), (_oid(2), "A")])
-    g.rename(_oid(2), _oid(7))
-    assert g.edges_for_class("A") == [(_oid(1), _oid(7), 2.0)]
-
-
-def test_rename_merges_with_existing_edge():
-    g = CoAccessGraph()
-    g.note_frontier([(_oid(1), "A"), (_oid(2), "A")])
-    g.note_frontier([(_oid(1), "A"), (_oid(3), "A")])
-    g.rename(_oid(3), _oid(2))
-    assert g.edges_for_class("A") == [(_oid(1), _oid(2), 2.0)]
-
-
-def test_forget_removes_every_incident_edge():
-    g = CoAccessGraph()
-    g.note_frontier([(_oid(1), "A"), (_oid(2), "A"), (_oid(3), "A")])
-    g.forget(_oid(2))
-    assert g.edges_for_class("A") == []
-
-
-def test_decay_ages_and_prunes():
-    g = CoAccessGraph()
-    for _ in range(4):
-        g.note_frontier([(_oid(1), "A"), (_oid(2), "A")])
-    g.note_frontier([(_oid(2), "A"), (_oid(3), "A")])
-    g.decay(factor=0.5, floor=0.25)
-    edges = g.edges_for_class("A")
-    assert (_oid(1), _oid(2), 2.0) in edges
-    g.decay(factor=0.1, floor=0.25)  # everything falls below the floor
-    assert g.edges_for_class("A") == []
+def test_traversal_notes_parts_in_widget_order_with_cache_on_or_off():
+    """Both feeds -- a cached traversal's hop frontier and an uncached
+    one's single chases -- log the Parts in the order Widgets reach them."""
+    sequences = []
+    for cache in (True, False):
+        db = MoodDatabase(buffer_capacity=16, cache_enabled=cache)
+        db.execute("CREATE CLASS Part TUPLE (pid Integer)")
+        db.execute(
+            "CREATE CLASS Widget TUPLE (wid Integer, part REFERENCE (Part))"
+        )
+        parts = [db.new_object("Part", {"pid": i}) for i in range(6)]
+        for wid, pid in enumerate((4, 1, 4, 0, 5)):
+            db.new_object("Widget", {"wid": wid, "part": parts[pid]})
+        db.kernel.coaccess.take()
+        db.query("SELECT w.wid, w.part.pid FROM Widget w")
+        sequence = db.kernel.coaccess.take()["Part"]
+        assert sequence == [parts[pid].oid for pid in (4, 1, 0, 5)]
+        sequences.append(sequence)
+    assert sequences[0] == sequences[1]

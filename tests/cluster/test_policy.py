@@ -1,90 +1,70 @@
-"""The greedy DSTC-style placement policy, pure-function level."""
+"""Traversal-order placement policy, pure-function level."""
 
 from repro.cluster.policy import plan_placements
 from repro.storage.oid import OID
 
 
-def _oid(n):
-    return OID(1, n // 10, n % 10)
+def _oid(page, slot=0):
+    return OID(1, page, slot)
 
 
-def test_heaviest_edges_cluster_first():
-    edges = [
-        (_oid(1), _oid(2), 5.0),
-        (_oid(3), _oid(4), 3.0),
-        (_oid(2), _oid(3), 1.0),
-    ]
-    plan = plan_placements("A", edges, objects_per_page=2)
-    # Capacity 2 forbids merging the two pairs through the light edge.
-    assert plan.groups == [
-        [_oid(1), _oid(2)],
-        [_oid(3), _oid(4)],
-    ]
-    assert plan.pages_after == 2
+def _homes(*oids):
+    """``page_oids`` over a layout holding exactly ``oids``."""
+    pages = {}
+    for oid in oids:
+        pages.setdefault(oid.page, []).append(oid)
+    return lambda page: pages.get(page, [])
 
 
 def test_chains_break_at_page_capacity():
-    chain = [(_oid(i), _oid(i + 1), 1.0) for i in range(1, 7)]
-    plan = plan_placements("A", chain, objects_per_page=3)
-    assert sorted(len(g) for g in plan.groups) == [3, 3]
-    members = {oid for group in plan.groups for oid in group}
-    assert members <= {_oid(i) for i in range(1, 8)}
-    assert len(members) == 6
-
-
-def test_min_weight_filters_noise():
-    edges = [(_oid(1), _oid(2), 0.5), (_oid(3), _oid(4), 2.0)]
-    plan = plan_placements("A", edges, objects_per_page=4, min_weight=1.0)
-    assert plan.groups == [[_oid(3), _oid(4)]]
+    sequence = [_oid(page) for page in (7, 3, 9, 1, 8, 2, 5)]
+    neighbours = [_oid(page, 1) for page in range(1, 10)]
+    plan = plan_placements("A", sequence, 3, _homes(*sequence, *neighbours))
+    # Cut in first-touch order, not page order.
+    assert plan.groups == [sequence[:3], sequence[3:6], sequence[6:]]
+    assert (plan.pages_before, plan.pages_after) == (7, 3)
 
 
 def test_already_colocated_groups_are_dropped():
-    page_of = {_oid(1): 7, _oid(2): 7, _oid(3): 1, _oid(4): 2}
-    edges = [(_oid(1), _oid(2), 5.0), (_oid(3), _oid(4), 2.0)]
-    plan = plan_placements(
-        "A", edges, objects_per_page=4,
-        current_page_of=lambda oid: page_of[oid],
-    )
-    assert plan.groups == [[_oid(3), _oid(4)]]
-    assert plan.pages_before == 2
-    assert plan.pages_after == 1
-    assert plan.estimated_gain == 2.0
+    """Pages visited in one contiguous run each, homing nothing else:
+    the layout a previous pass left, however full its pages are."""
+    sequence = [_oid(4, 0), _oid(4, 1), _oid(4, 2), _oid(2, 0), _oid(2, 1)]
+    assert plan_placements("A", sequence, 2, _homes(*sequence)).groups == []
 
 
-def test_pages_before_sums_per_group():
-    """Groups sharing a source page each pay for it: a cold traversal of
-    either group reads that page separately."""
-    page_of = {_oid(1): 5, _oid(2): 6, _oid(3): 5, _oid(4): 7}
-    edges = [(_oid(1), _oid(2), 5.0), (_oid(3), _oid(4), 4.0)]
-    plan = plan_placements(
-        "A", edges, objects_per_page=2,
-        current_page_of=lambda oid: page_of[oid],
-    )
-    assert plan.pages_before == 4
-    assert plan.pages_after == 2
+def test_a_page_homing_an_untouched_record_is_repacked():
+    sequence = [_oid(4, 0), _oid(4, 1), _oid(2, 0)]
+    plan = plan_placements("A", sequence, 4, _homes(*sequence, _oid(2, 1)))
+    assert plan.groups == [sequence]
 
 
-def test_weight_accumulates_across_merges():
-    """Cluster ranking uses total internal weight, surviving root changes
-    as the union-find grows."""
-    edges = [
-        (_oid(1), _oid(2), 2.0),
-        (_oid(2), _oid(3), 2.0),   # merges into the first cluster
-        (_oid(5), _oid(6), 3.0),   # heavier single edge, lighter cluster
-    ]
-    plan = plan_placements("A", edges, objects_per_page=4)
-    assert plan.groups[0] == [_oid(1), _oid(2), _oid(3)]   # weight 4.0
-    assert plan.groups[1] == [_oid(5), _oid(6)]            # weight 3.0
-
-
-def test_tiny_capacity_yields_no_plan():
-    edges = [(_oid(1), _oid(2), 5.0)]
-    assert plan_placements("A", edges, objects_per_page=1).groups == []
+def test_a_page_visited_twice_is_repacked():
+    sequence = [_oid(4, 0), _oid(2, 0), _oid(4, 1)]
+    plan = plan_placements("A", sequence, 4, _homes(*sequence))
+    assert plan.groups == [sequence]
 
 
 def test_deleted_members_do_not_crash_page_lookup():
-    edges = [(_oid(1), _oid(2), 5.0)]
-    plan = plan_placements(
-        "A", edges, objects_per_page=4, current_page_of=lambda oid: None
-    )
-    assert plan.groups == []
+    sequence = [_oid(1), _oid(2), _oid(3)]
+    alive = [_oid(1), _oid(3)]
+    plan = plan_placements("A", sequence, 4, _homes(*alive, _oid(1, 1)))
+    assert plan.groups == [alive]
+    assert plan_placements("A", sequence, 4, _homes()).groups == []
+
+
+def test_each_page_is_listed_once_in_ascending_order():
+    listed = []
+    sequence = [_oid(9), _oid(3), _oid(9, 1), _oid(5)]
+    homes = _homes(*sequence)
+
+    def page_oids(page):
+        listed.append(page)
+        return homes(page)
+
+    plan_placements("A", sequence, 2, page_oids)
+    assert listed == [3, 5, 9]
+
+
+def test_tiny_capacity_yields_no_plan():
+    sequence = [_oid(1), _oid(2)]
+    assert plan_placements("A", sequence, 1, _homes(*sequence)).groups == []

@@ -143,12 +143,13 @@ def test_reclustering_cuts_cold_traversal_reads():
         db.set_cache_enabled(True)
         return rows, delta.random_reads + delta.sequential_reads
 
+    db.analyze()             # not inside the "before" probe
     rows_before, reads_before = cold_reads()
-    db.query(query)          # batched traversal: frontier co-access pairs
+    db.query(query)          # batched traversal: one frontier per hop
     db.reclusterer.batch_size = 100_000
     stats = db.recluster()
     assert stats["state"] == "ok" and stats["moves"] == 1200
     rows_after, reads_after = cold_reads()
 
     assert rows_after == rows_before and len(rows_before) == 1200
-    assert (reads_before, reads_after) == (862, 120)
+    assert (reads_before, reads_after) == (784, 94)

@@ -119,6 +119,18 @@ def test_scan_order_is_page_order():
     assert set(scanned) == set(oids)
 
 
+def test_page_oids_lists_live_records_of_owned_pages_only():
+    f = make_file(block_size=128)
+    oids = [f.insert(bytes([i]) * 20) for i in range(12)]
+    f.delete(oids[1])
+    first = oids[0].page
+    assert f.page_oids(first) == [
+        oid for oid in oids if oid.page == first and oid != oids[1]
+    ]
+    f.destroy()
+    assert f.page_oids(first) == []
+
+
 def test_destroy_frees_pages():
     f = make_file()
     for i in range(10):
