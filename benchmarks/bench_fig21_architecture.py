@@ -9,6 +9,7 @@ from repro.moodview import MoodView
 
 def test_fig21_system_overview(live_db, benchmark):
     kernel = live_db.kernel
+    metrics = kernel.storage.metrics
     view = MoodView(kernel)
 
     def one_full_round_trip():
@@ -31,8 +32,8 @@ def test_fig21_system_overview(live_db, benchmark):
          f"{len(kernel.catalog.class_names(include_system=True))} classes, "
          f"persisted in system extents on ESM"),
         ("Function Manager", type(kernel.functions).__name__,
-         f"{kernel.functions.stats.compiles} compilations, "
-         f"{kernel.functions.stats.invocations} dynamic invocations"),
+         f"{int(metrics.value('functions.compiles'))} compilations, "
+         f"{int(metrics.value('functions.dispatches'))} dynamic invocations"),
         ("C++ compiler (stand-in)", "CPython compile()",
          "member functions compiled separately, never interpreted"),
         ("ESM (storage manager)", type(kernel.storage).__name__,
@@ -49,5 +50,5 @@ def test_fig21_system_overview(live_db, benchmark):
                  "(lbweight) -> ESM pages")
     emit("fig21_architecture", "\n".join(lines))
     # The round trip really did touch the function manager and storage.
-    assert kernel.functions.stats.invocations > 0
+    assert metrics.value("functions.dispatches") > 0
     assert kernel.storage.io_stats.page_ios >= 0

@@ -29,7 +29,8 @@ def main() -> None:
         }
     """)
     fm = db.kernel.functions
-    print("compiles so far:", fm.stats.compiles)
+    metrics = db.kernel.storage.metrics
+    print("compiles so far:", int(metrics.value("functions.compiles")))
     result = db.query(
         "SELECT a.owner, a.projected() FROM Account a ORDER BY a.owner"
     )
@@ -58,11 +59,13 @@ def main() -> None:
     print("doubled (dispatches projected() per class):", result.rows)
 
     # --- shared objects are cached within a scope -------------------------------
-    fm.stats.reset()
+    before = metrics.snapshot()
     accounts = db.extent("Account")
     for account in accounts:
         db.invoke(account, "projected")
-    print(f"loads={fm.stats.loads} cache_hits={fm.stats.cache_hits} "
+    counts = metrics.since(before)
+    print(f"loads={int(counts.get('functions.loads', 0))} "
+          f"cache_hits={int(counts.get('functions.cache_hits', 0))} "
           f"(one load per class per scope)")
     fm.end_scope()
 

@@ -119,14 +119,7 @@ class Reclusterer:
         self._run_mutex = threading.Lock()
         # -- cumulative status (SYS$CLUSTERING) --
         self.state = "idle"
-        self.runs = 0
-        self.moves_done = 0
-        self.batches_done = 0
         self.pages_compacted = 0
-        self.pages_allocated = 0
-        self.ref_rewrites = 0
-        self.index_rewrites = 0
-        self.lock_timeouts = 0
         self.last_gain = 1.0
         self.last_run_at = 0.0
         self.last_error = ""
@@ -198,7 +191,6 @@ class Reclusterer:
                 timeouts += timed_out
             if gain_after:
                 self.last_gain = gain_before / gain_after
-            self.runs += 1
             self._counters.runs.inc()
             self.last_run_at = time.time()
             self.storage.events.emit(
@@ -260,7 +252,6 @@ class Reclusterer:
                 storage.txns.lock_exclusive(txn, resource)
         except LockError:
             txn.abort()
-            self.lock_timeouts += 1
             self._counters.lock_timeouts.inc()
             self.storage.events.emit(
                 "cluster.batch_yield", class_name=class_name,
@@ -309,10 +300,6 @@ class Reclusterer:
         txn.commit()
 
         moves = len(mapping)
-        self.moves_done += moves
-        self.batches_done += 1
-        self.ref_rewrites += rewrites
-        self.index_rewrites += index_rewrites
         self.pages_compacted += max(0, len(pages_before) - len(
             {new.page for new in mapping.values()}
         ))
@@ -329,7 +316,6 @@ class Reclusterer:
     def _allocate_target(self, extent, txn) -> int:
         """A fresh, WAL-covered, page-map-registered target page."""
         page_no = self.storage.allocate_page(extent, txn)
-        self.pages_allocated += 1
         self._counters.pages_allocated.inc()
         return page_no
 
@@ -365,17 +351,19 @@ class Reclusterer:
     # -- status --------------------------------------------------------------
 
     def status(self) -> dict:
-        """One SYS$CLUSTERING row."""
+        """One SYS$CLUSTERING row (the totals are the ``cluster.*``
+        counters)."""
+        counters = self._counters
         return {
             "state": self.state,
-            "runs": self.runs,
-            "moves": self.moves_done,
-            "batches": self.batches_done,
-            "pages_allocated": self.pages_allocated,
+            "runs": int(counters.runs.value),
+            "moves": int(counters.moves.value),
+            "batches": int(counters.batches.value),
+            "pages_allocated": int(counters.pages_allocated.value),
             "pages_compacted": self.pages_compacted,
-            "ref_rewrites": self.ref_rewrites,
-            "index_rewrites": self.index_rewrites,
-            "lock_timeouts": self.lock_timeouts,
+            "ref_rewrites": int(counters.ref_rewrites.value),
+            "index_rewrites": int(counters.index_rewrites.value),
+            "lock_timeouts": int(counters.lock_timeouts.value),
             "estimated_gain": round(self.last_gain, 3),
             "objects_noted": len(self.coaccess),
             "last_run_at": self.last_run_at,

@@ -131,8 +131,8 @@ class MoodDatabase:
 
     @property
     def object_cache(self):
-        """The deref cache (``None`` when disabled); its ``.stats`` carries
-        hits/misses/invalidations for experiments."""
+        """The deref cache (``None`` when disabled); its hits, misses and
+        invalidations are the ``objcache.*`` registry counters."""
         return self.kernel.objects.cache
 
     def set_cache_enabled(self, enabled: bool) -> None:

@@ -146,7 +146,9 @@ class MoodKernel:
         self.storage = StorageManager(disk_params, buffer_capacity,
                                       page_base=page_base)
         self.catalog = Catalog(self.storage)
-        self.functions = FunctionManager(self.catalog)
+        self.functions = FunctionManager(
+            self.catalog, self.storage.metrics.component("functions")
+        )
         self.objects = ObjectManager(
             self.storage, self.catalog, cache_enabled=cache_enabled,
         )

@@ -37,6 +37,7 @@ from repro.core.errors import (
     MoodSqlError,
     UnknownPreparedStatementError,
 )
+from repro.obs.metrics import ComponentMetrics, MetricsRegistry
 from repro.sql.ast import (
     DeleteStmt,
     ExplainStmt,
@@ -349,26 +350,20 @@ class PlanCache:
     bypassed entirely -- the paper-faithful compile-per-statement mode.
     """
 
-    def __init__(self, capacity: int = 256, metrics=None, events=None,
+    def __init__(self, capacity: int = 256,
+                 metrics: ComponentMetrics | None = None, events=None,
                  enabled: bool = True):
         self.capacity = max(1, capacity)
         self.enabled = enabled
         self.events = events
         self._entries: OrderedDict[str, CachedPlan] = OrderedDict()
-        if metrics is not None:
-            self._m_hits = metrics.counter("hits")
-            self._m_misses = metrics.counter("misses")
-            self._m_stores = metrics.counter("stores")
-            self._m_invalidations = metrics.counter("invalidations")
-            self._m_evictions = metrics.counter("evictions")
-        else:
-            from repro.obs.metrics import Counter
-
-            self._m_hits = Counter("hits")
-            self._m_misses = Counter("misses")
-            self._m_stores = Counter("stores")
-            self._m_invalidations = Counter("invalidations")
-            self._m_evictions = Counter("evictions")
+        # ``plancache.*`` counters (a private registry when built alone).
+        metrics = metrics or MetricsRegistry().component("plancache")
+        self._m_hits = metrics.counter("hits")
+        self._m_misses = metrics.counter("misses")
+        self._m_stores = metrics.counter("stores")
+        self._m_invalidations = metrics.counter("invalidations")
+        self._m_evictions = metrics.counter("evictions")
 
     def __len__(self) -> int:
         return len(self._entries)

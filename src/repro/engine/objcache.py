@@ -24,68 +24,34 @@ import threading
 from collections import OrderedDict
 
 from repro.model.objects import MoodObject
+from repro.obs.metrics import ComponentMetrics, MetricsRegistry
 from repro.storage.oid import OID
 
 #: Default number of objects kept resident.
 DEFAULT_CAPACITY = 4096
 
 
-class ObjectCacheStats:
-    """Plain-int mirror of the cache counters (cheap to read in tests)."""
-
-    __slots__ = ("hits", "misses", "invalidations", "evictions", "batches",
-                 "batched_oids")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self.evictions = 0
-        self.batches = 0
-        self.batched_oids = 0
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-class _CacheCounters:
-    """Pre-resolved registry counters for the cache's hot paths."""
-
-    __slots__ = ("hits", "misses", "invalidations", "evictions", "batches",
-                 "batched_oids", "batch_size")
-
-    def __init__(self, component):
-        self.hits = component.counter("hits")
-        self.misses = component.counter("misses")
-        self.invalidations = component.counter("invalidations")
-        self.evictions = component.counter("evictions")
-        self.batches = component.counter("batches")
-        self.batched_oids = component.counter("batched_oids")
-        self.batch_size = component.histogram("batch_size")
-
-
 class ObjectCache:
     """Bounded LRU of ``OID -> (class_name, committed state)``."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY,
+                 metrics: ComponentMetrics | None = None):
         if capacity < 1:
             raise ValueError("object cache needs capacity >= 1")
         self.capacity = capacity
-        self.stats = ObjectCacheStats()
+        # ``objcache.*`` counters (a private registry when built alone).
+        metrics = metrics or MetricsRegistry().component("objcache")
+        self._hits = metrics.counter("hits")
+        self._misses = metrics.counter("misses")
+        self._invalidations = metrics.counter("invalidations")
+        self._evictions = metrics.counter("evictions")
+        self._batches = metrics.counter("batches")
+        self._batched_oids = metrics.counter("batched_oids")
+        self._batch_size = metrics.histogram("batch_size")
         self._entries: "OrderedDict[OID, tuple[str, dict]]" = OrderedDict()
-        self._metrics: _CacheCounters | None = None
         # The cache is shared by every server session; the OrderedDict's
         # move_to_end/popitem pair is not safe under concurrent mutation.
         self._mutex = threading.RLock()
-
-    def attach_metrics(self, component) -> None:
-        """Mirror cache activity into registry counters (``objcache.*``)."""
-        self._metrics = _CacheCounters(component)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -101,14 +67,10 @@ class ObjectCache:
         with self._mutex:
             entry = self._entries.get(oid)
             if entry is None:
-                self.stats.misses += 1
-                if self._metrics is not None:
-                    self._metrics.misses.inc()
+                self._misses.inc()
                 return None
             self._entries.move_to_end(oid)
-            self.stats.hits += 1
-            if self._metrics is not None:
-                self._metrics.hits.inc()
+            self._hits.inc()
             class_name, state = entry
             return MoodObject(oid, class_name, dict(state))
 
@@ -124,18 +86,14 @@ class ObjectCache:
             self._entries[oid] = (class_name, dict(state))
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.stats.evictions += 1
-                if self._metrics is not None:
-                    self._metrics.evictions.inc()
+                self._evictions.inc()
 
     # -- invalidation --------------------------------------------------------
 
     def invalidate(self, oid: OID) -> None:
         with self._mutex:
             if self._entries.pop(oid, None) is not None:
-                self.stats.invalidations += 1
-                if self._metrics is not None:
-                    self._metrics.invalidations.inc()
+                self._invalidations.inc()
 
     def rehome(self, old_oid: OID, new_oid: OID, class_name: str) -> None:
         """Move a cached entry to the record's new identity after a
@@ -158,19 +116,13 @@ class ObjectCache:
             dropped = len(self._entries)
             self._entries.clear()
             if dropped:
-                self.stats.invalidations += dropped
-                if self._metrics is not None:
-                    self._metrics.invalidations.inc(dropped)
+                self._invalidations.inc(dropped)
             return dropped
 
     # -- batch accounting ----------------------------------------------------
 
     def note_batch(self, size: int) -> None:
         """Record one ``deref_many`` batch of ``size`` distinct OIDs."""
-        with self._mutex:
-            self.stats.batches += 1
-            self.stats.batched_oids += size
-        if self._metrics is not None:
-            self._metrics.batches.inc()
-            self._metrics.batched_oids.inc(size)
-            self._metrics.batch_size.observe(size)
+        self._batches.inc()
+        self._batched_oids.inc(size)
+        self._batch_size.observe(size)

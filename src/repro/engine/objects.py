@@ -115,9 +115,9 @@ class ObjectManager(ObjectStore):
     # -- cache plumbing ------------------------------------------------------
 
     def _build_cache(self) -> ObjectCache:
-        cache = ObjectCache(self._cache_capacity)
-        cache.attach_metrics(self.storage.metrics.component("objcache"))
-        return cache
+        return ObjectCache(
+            self._cache_capacity, self.storage.metrics.component("objcache")
+        )
 
     @property
     def cache_enabled(self) -> bool:

@@ -1,6 +1,6 @@
 """Function Manager: dynamic compilation and late binding of member functions."""
 
-from repro.functions.manager import FunctionManager, FunctionManagerStats, SelfProxy
+from repro.functions.manager import FunctionManager, SelfProxy
 from repro.functions.signature import (
     build_signature,
     infer_parameter_type,
@@ -10,7 +10,6 @@ from repro.functions.signature import (
 
 __all__ = [
     "FunctionManager",
-    "FunctionManagerStats",
     "SelfProxy",
     "build_signature",
     "infer_parameter_type",

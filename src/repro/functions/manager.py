@@ -52,6 +52,7 @@ from repro.model.types import (
     LongIntegerType,
     StringType,
 )
+from repro.obs.metrics import ComponentMetrics, MetricsRegistry
 from repro.storage.locks import LockMode
 from repro.storage.oid import OID
 
@@ -118,48 +119,25 @@ class _SharedObject:
     functions: dict[str, Any] = field(default_factory=dict)  # name -> code callable
 
 
-@dataclass
-class FunctionManagerStats:
-    compiles: int = 0
-    loads: int = 0          # shared objects opened into memory
-    cache_hits: int = 0     # invocations served by an already-loaded object
-    invocations: int = 0
-
-    def reset(self) -> None:
-        self.compiles = 0
-        self.loads = 0
-        self.cache_hits = 0
-        self.invocations = 0
-
-
-class _FunctionCounters:
-    """Pre-resolved registry counters (``functions.*``): ``binds`` counts
-    late-binding signature resolutions, ``dispatches`` compiled-code calls."""
-
-    __slots__ = ("binds", "dispatches", "compiles", "loads", "cache_hits")
-
-    def __init__(self, component):
-        self.binds = component.counter("binds")
-        self.dispatches = component.counter("dispatches")
-        self.compiles = component.counter("compiles")
-        self.loads = component.counter("loads")
-        self.cache_hits = component.counter("cache_hits")
-
-
 class FunctionManager:
     """Adds, updates, deletes and invokes the member functions of classes."""
 
-    def __init__(self, catalog: Catalog):
+    def __init__(self, catalog: Catalog,
+                 metrics: ComponentMetrics | None = None):
         self.catalog = catalog
-        self.stats = FunctionManagerStats()
+        #: ``functions.*`` counters: ``binds`` counts late-binding
+        #: signature resolutions, ``dispatches`` compiled-code calls
+        #: (a private registry when built alone).
+        self.metrics = metrics or MetricsRegistry().component("functions")
+        self._binds = self.metrics.counter("binds")
+        self._dispatches = self.metrics.counter("dispatches")
+        self._compiles = self.metrics.counter("compiles")
+        self._loads = self.metrics.counter("loads")
+        self._cache_hits = self.metrics.counter("cache_hits")
         # The per-class directories of compiled shared objects.
         self._shared: dict[str, _SharedObject] = {}
         # Shared objects currently loaded "into memory" for this scope.
         self._loaded: set[str] = set()
-        self._metrics = None
-        registry = getattr(getattr(catalog, "storage", None), "metrics", None)
-        if registry is not None:
-            self._metrics = _FunctionCounters(registry.component("functions"))
 
     # -- compilation ------------------------------------------------------
 
@@ -180,9 +158,7 @@ class FunctionManager:
             ) from None
         namespace: dict[str, Any] = {}
         exec(code, namespace)
-        self.stats.compiles += 1
-        if self._metrics is not None:
-            self._metrics.compiles.inc()
+        self._compiles.inc()
         return namespace[function.name]
 
     def _rebuild_shared_object(self, class_name: str) -> None:
@@ -230,8 +206,7 @@ class FunctionManager:
                 arguments: list[Any]) -> MoodsFunction:
         """Find the function row: exact signature first, then a
         compatible-arity overload, walking the hierarchy."""
-        if self._metrics is not None:
-            self._metrics.binds.inc()
+        self._binds.inc()
         signature = signature_for_call(class_name, function_name, arguments)
         try:
             return self.catalog.function_by_signature(signature)
@@ -260,9 +235,7 @@ class FunctionManager:
         if class_name not in self._shared:
             self._rebuild_shared_object(class_name)
         if class_name in self._loaded:
-            self.stats.cache_hits += 1
-            if self._metrics is not None:
-                self._metrics.cache_hits.inc()
+            self._cache_hits.inc()
         else:
             # Opening the shared object requires it not being rewritten.
             locks = self.catalog.storage.locks
@@ -270,9 +243,7 @@ class FunctionManager:
             locks.acquire(owner, self._lock_name(class_name), LockMode.S)
             try:
                 self._loaded.add(class_name)
-                self.stats.loads += 1
-                if self._metrics is not None:
-                    self._metrics.loads.inc()
+                self._loads.inc()
             finally:
                 locks.release(owner, self._lock_name(class_name))
         return self._shared[class_name]
@@ -286,9 +257,7 @@ class FunctionManager:
         :class:`FunctionRuntimeError` (the paper's Exception class).
         """
         arguments = arguments or []
-        self.stats.invocations += 1
-        if self._metrics is not None:
-            self._metrics.dispatches.inc()
+        self._dispatches.inc()
         function = self._locate(obj.class_name, function_name, arguments)
         shared = self._ensure_loaded(function.owner)
         callable_ = shared.functions.get(function.name)

@@ -46,12 +46,14 @@ class AdminTool:
         return "\n".join(f"{name} -> {oid}" for name, oid in sorted(named.items()))
 
     def buffer_report(self) -> str:
-        stats = self.kernel.storage.buffer.stats
+        value = self.kernel.storage.metrics.value
+        hits, misses = int(value("buffer.hits")), int(value("buffer.misses"))
         return (
             f"capacity={self.kernel.storage.buffer.capacity} "
-            f"hits={stats.hits} misses={stats.misses} "
-            f"hit_ratio={stats.hit_ratio:.2f} evictions={stats.evictions} "
-            f"flushes={stats.flushes}"
+            f"hits={hits} misses={misses} "
+            f"hit_ratio={hits / max(hits + misses, 1):.2f} "
+            f"evictions={int(value('buffer.evictions'))} "
+            f"flushes={int(value('buffer.flushes'))}"
         )
 
     def io_report(self) -> str:

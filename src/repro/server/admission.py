@@ -19,6 +19,8 @@ import threading
 import time
 
 from repro.core.errors import ServerBusyError
+from repro.obs.events import EventJournal
+from repro.obs.metrics import ComponentMetrics, MetricsRegistry
 
 
 class AdmissionController:
@@ -28,8 +30,8 @@ class AdmissionController:
         self,
         max_active: int,
         max_queue: int,
-        metrics_component=None,
-        events=None,
+        metrics: ComponentMetrics | None = None,
+        events: EventJournal | None = None,
     ):
         if max_active < 1:
             raise ValueError("admission control needs max_active >= 1")
@@ -37,20 +39,16 @@ class AdmissionController:
             raise ValueError("admission control needs max_queue >= 0")
         self.max_active = max_active
         self.max_queue = max_queue
-        self._events = events
+        self._events = EventJournal() if events is None else events
         self._mutex = threading.Lock()
         self._slot_freed = threading.Condition(self._mutex)
         self._active = 0
         self._queued = 0
-        self._admitted = None
-        self._rejected = None
-        self._timeouts = None
-        self._queue_wait_ms = None
-        if metrics_component is not None:
-            self._admitted = metrics_component.counter("admitted")
-            self._rejected = metrics_component.counter("rejected")
-            self._timeouts = metrics_component.counter("timeouts")
-            self._queue_wait_ms = metrics_component.histogram("queue_wait_ms")
+        metrics = metrics or MetricsRegistry().component("server.admission")
+        self._admitted = metrics.counter("admitted")
+        self._rejected = metrics.counter("rejected")
+        self._timeouts = metrics.counter("timeouts")
+        self._queue_wait_ms = metrics.histogram("queue_wait_ms")
 
     # -- gate ----------------------------------------------------------------
 
@@ -76,8 +74,7 @@ class AdmissionController:
                 self._note_admitted(started)
                 return 0.0
             if self._queued >= self.max_queue:
-                if self._rejected is not None:
-                    self._rejected.inc()
+                self._rejected.inc()
                 self._note_rejected("queue_full")
                 raise ServerBusyError(
                     f"server at capacity ({self.max_active} active, "
@@ -92,8 +89,7 @@ class AdmissionController:
                         else deadline - time.monotonic()
                     )
                     if remaining is not None and remaining <= 0:
-                        if self._timeouts is not None:
-                            self._timeouts.inc()
+                        self._timeouts.inc()
                         self._note_rejected("queue_timeout")
                         raise ServerBusyError(
                             f"queued {timeout:.1f}s without an execution "
@@ -107,11 +103,10 @@ class AdmissionController:
             return (time.monotonic() - started) * 1e3
 
     def _note_rejected(self, reason: str) -> None:
-        if self._events is not None:
-            self._events.emit(
-                "admission.rejected",
-                reason=reason, active=self._active, queued=self._queued,
-            )
+        self._events.emit(
+            "admission.rejected",
+            reason=reason, active=self._active, queued=self._queued,
+        )
 
     def release(self) -> None:
         """Return a slot; wakes one queued statement."""
@@ -120,10 +115,8 @@ class AdmissionController:
             self._slot_freed.notify()
 
     def _note_admitted(self, started: float) -> None:
-        if self._admitted is not None:
-            self._admitted.inc()
-        if self._queue_wait_ms is not None:
-            self._queue_wait_ms.observe((time.monotonic() - started) * 1e3)
+        self._admitted.inc()
+        self._queue_wait_ms.observe((time.monotonic() - started) * 1e3)
 
     # -- introspection -------------------------------------------------------
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from repro.core.database import MoodDatabase
 from repro.core.errors import MoodError, describe_error
 from repro.obs.promtext import render_prometheus
-from repro.obs.trace import DEFAULT_SLOW_MS
 from repro.server.admission import AdmissionController
 from repro.server.protocol import (
     FrameListener,
@@ -41,6 +40,9 @@ from repro.server.session import (
     SessionManager,
 )
 
+#: Slowest statements STATS reports from the slow-query log.
+STATS_TOP_SLOW = 5
+
 
 @dataclass
 class ServerConfig:
@@ -53,8 +55,6 @@ class ServerConfig:
     admission_timeout: float = 5.0    # seconds a statement may queue
     statement_timeout: float = DEFAULT_STATEMENT_TIMEOUT
     shutdown_drain: float = 10.0      # seconds to wait for in-flight work
-    slow_query_ms: float = DEFAULT_SLOW_MS   # slow-query log threshold
-    stats_top_slow: int = 5           # slow queries reported by STATS
     #: Seconds between background reclustering passes; ``None`` leaves the
     #: daemon off (it can still be started per-request over RECLUSTER).
     recluster_interval: float | None = None
@@ -68,15 +68,12 @@ class MoodServer:
         self.config = config or ServerConfig()
         self.sessions = SessionManager(
             db, statement_timeout=self.config.statement_timeout,
-            slow_query_ms=self.config.slow_query_ms,
         )
         component = db.kernel.storage.metrics.component("server")
         self.admission = AdmissionController(
             self.config.max_workers,
             self.config.max_queue,
-            metrics_component=db.kernel.storage.metrics.component(
-                "server.admission"
-            ),
+            metrics=db.kernel.storage.metrics.component("server.admission"),
             events=db.kernel.storage.events,
         )
         self._m_connections = component.counter("connections")
@@ -344,7 +341,7 @@ class MoodServer:
             },
             "slow_queries": [
                 trace.row()
-                for trace in kernel.slow_log.top(self.config.stats_top_slow)
+                for trace in kernel.slow_log.top(STATS_TOP_SLOW)
             ],
         }
 

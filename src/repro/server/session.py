@@ -162,13 +162,10 @@ class SessionManager:
         self,
         db: MoodDatabase,
         statement_timeout: float = DEFAULT_STATEMENT_TIMEOUT,
-        slow_query_ms: float | None = None,
     ):
         self.db = db
         self.kernel = db.kernel
         self.statement_timeout = statement_timeout
-        if slow_query_ms is not None:
-            self.kernel.slow_log.threshold_ms = slow_query_ms
         #: The engine latch (== storage latch == txn-manager latch).
         self.latch = self.kernel.storage.latch
         self._mutex = threading.Lock()
@@ -469,21 +466,34 @@ class SessionManager:
                 "PREPARE/EXECUTE/DEALLOCATE cannot themselves be prepared"
             )
         with session.mutex:
-            prepared = session.prepared.prepare(name, statement)
-            self._m_statements.inc()
-            session.statements += 1
-        return StatementResult(
-            "PREPARE",
-            f"{prepared.name} ({len(prepared.params)} parameters)",
-        )
+            return self._run_registry_statement(
+                session, PrepareStmt(name, statement)
+            )
 
     def deallocate(self, session: Session, name: str) -> StatementResult:
         self._check_open(session)
         with session.mutex:
-            session.prepared.deallocate(name)
-            self._m_statements.inc()
-            session.statements += 1
-        return StatementResult("DEALLOCATE", name)
+            return self._run_registry_statement(session, DeallocateStmt(name))
+
+    def _run_registry_statement(self, session: Session,
+                                statement) -> StatementResult:
+        """PREPARE / DEALLOCATE, by wire verb or SQL text, touch only the
+        session's own registry: compile-time work, no data, no locks, no
+        transaction."""
+        if isinstance(statement, PrepareStmt):
+            prepared = session.prepared.prepare(
+                statement.name, statement.statement
+            )
+            result = StatementResult(
+                "PREPARE",
+                f"{prepared.name} ({len(prepared.params)} parameters)",
+            )
+        else:
+            session.prepared.deallocate(statement.name)
+            result = StatementResult("DEALLOCATE", statement.name)
+        self._m_statements.inc()
+        session.statements += 1
+        return result
 
     def execute_prepared(
         self,
@@ -563,23 +573,8 @@ class SessionManager:
         trace: StatementTrace,
     ):
         deadline = time.monotonic() + budget
-        # PREPARE / DEALLOCATE touch only the session's own registry:
-        # compile-time work, no data, no locks, no transaction.
-        if isinstance(statement, PrepareStmt):
-            prepared = session.prepared.prepare(
-                statement.name, statement.statement
-            )
-            self._m_statements.inc()
-            session.statements += 1
-            return StatementResult(
-                "PREPARE",
-                f"{prepared.name} ({len(prepared.params)} parameters)",
-            )
-        if isinstance(statement, DeallocateStmt):
-            session.prepared.deallocate(statement.name)
-            self._m_statements.inc()
-            session.statements += 1
-            return StatementResult("DEALLOCATE", statement.name)
+        if isinstance(statement, (PrepareStmt, DeallocateStmt)):
+            return self._run_registry_statement(session, statement)
         # EXECUTE resolves to its bound inner statement *before* locking,
         # so the lock closure, the DDL-autocommit rule, and the read-only
         # classification all see what will actually run.
@@ -640,7 +635,7 @@ class SessionManager:
         txn: Transaction,
         statement,
         deadline: float,
-        trace: StatementTrace | None = None,
+        trace: StatementTrace,
     ) -> None:
         plan = self._lock_plan(statement)
         lock_started = time.monotonic()
@@ -659,8 +654,7 @@ class SessionManager:
                     txn.txn_id, resource, mode, timeout=remaining
                 )
         finally:
-            if trace is not None:
-                trace.lock_wait_ms = (time.monotonic() - lock_started) * 1e3
+            trace.lock_wait_ms = (time.monotonic() - lock_started) * 1e3
 
     def _lock_plan(self, statement) -> dict[tuple, LockMode]:
         """``resource -> strongest needed mode`` for one statement."""
@@ -768,7 +762,7 @@ class SessionManager:
         txn: Transaction,
         statement,
         deadline: float,
-        trace: StatementTrace | None = None,
+        trace: StatementTrace,
     ):
         remaining = deadline - time.monotonic()
         latch_started = time.monotonic()
@@ -776,16 +770,15 @@ class SessionManager:
             raise StatementTimeoutError(
                 "statement timed out waiting for the engine latch"
             )
-        if trace is not None:
-            trace.latch_wait_ms = (time.monotonic() - latch_started) * 1e3
+        trace.latch_wait_ms = (time.monotonic() - latch_started) * 1e3
         objects = self.kernel.objects
         storage = self.kernel.storage
         # I/O attribution is sound under the latch: execution in there is
         # single-caller, so the disk-stats delta is this statement's.
-        io_before = storage.io_snapshot() if trace is not None else None
+        io_before = storage.io_snapshot()
         exec_started = time.monotonic()
         spans = None
-        if trace is not None and isinstance(statement, SelectQuery):
+        if isinstance(statement, SelectQuery):
             spans = SpanRecorder(
                 io_probe=storage.io_snapshot, trace_id=trace.trace_id
             )
@@ -796,26 +789,23 @@ class SessionManager:
                 )
             objects.current_txn = txn
             txn.lock_timeout = 0  # no-wait probes only while latched
-            if trace is not None:
-                # Events raised from inside planning (implicit ANALYZE)
-                # attribute to this statement's trace.
-                self.kernel.active_trace_id = trace.trace_id
+            # Events raised from inside planning (implicit ANALYZE)
+            # attribute to this statement's trace.
+            self.kernel.active_trace_id = trace.trace_id
             result = self.kernel.execute_statement(statement, spans=spans)
-            if trace is not None:
-                if isinstance(result, QueryResult):
-                    trace.rows = len(result.rows)
-                elif isinstance(result, StatementResult):
-                    trace.rows = result.count
+            if isinstance(result, QueryResult):
+                trace.rows = len(result.rows)
+            elif isinstance(result, StatementResult):
+                trace.rows = result.count
             return result
         finally:
             objects.current_txn = None
             txn.lock_timeout = None
             self.kernel.active_trace_id = ""
-            if trace is not None:
-                trace.exec_ms = (time.monotonic() - exec_started) * 1e3
-                io_delta = storage.io_snapshot().since(io_before)
-                trace.io_pages = io_delta.page_ios
-                trace.io_ms = io_delta.elapsed_ms
-                if spans is not None:
-                    trace.spans = spans.roots
+            trace.exec_ms = (time.monotonic() - exec_started) * 1e3
+            io_delta = storage.io_snapshot().since(io_before)
+            trace.io_pages = io_delta.page_ios
+            trace.io_ms = io_delta.elapsed_ms
+            if spans is not None:
+                trace.spans = spans.roots
             self.latch.release()

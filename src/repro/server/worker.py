@@ -57,8 +57,7 @@ def _build_database(shard_index: int, shard_count: int, options: dict) -> MoodDa
 def _server_config(options: dict) -> ServerConfig:
     config = ServerConfig(port=0)
     for field in ("max_workers", "max_queue", "admission_timeout",
-                  "statement_timeout", "slow_query_ms",
-                  "recluster_interval"):
+                  "statement_timeout", "recluster_interval"):
         if field in options:
             setattr(config, field, options[field])
     return config

@@ -5,9 +5,10 @@ pin/unpin LRU buffer pool.  Frames are ``bytearray`` views that callers
 (e.g. :class:`repro.storage.page.SlottedPage`) edit in place; a frame
 marked dirty is written back when evicted or flushed.
 
-The pool also keeps hit/miss statistics so experiments can distinguish
-buffer behaviour from raw disk behaviour, and supports :meth:`drop_all`,
-which models losing volatile memory in a crash.
+The pool counts hits, misses, evictions and flushes into ``buffer.*``
+registry counters so experiments can distinguish buffer behaviour from
+raw disk behaviour, and supports :meth:`drop_all`, which models losing
+volatile memory in a crash.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.core.errors import StorageError
+from repro.obs.metrics import ComponentMetrics, MetricsRegistry
 from repro.storage.disk import SimulatedDisk
 
 PageId = tuple[int, int]  # (volume, page_no)
@@ -30,37 +32,6 @@ class _Frame:
 
 
 @dataclass
-class BufferStats:
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    flushes: int = 0
-    pins: int = 0
-    unpins: int = 0
-    capture_windows: int = 0   # capture windows ever opened
-    peak_resident: int = 0     # high-water mark of resident frames
-
-    @property
-    def fetches(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.flushes = 0
-        self.pins = 0
-        self.unpins = 0
-        self.capture_windows = 0
-        self.peak_resident = 0
-
-
-@dataclass
 class _CaptureWindow:
     """One open before-image capture window (they nest, LIFO)."""
 
@@ -68,37 +39,26 @@ class _CaptureWindow:
     dirty: set[PageId] = field(default_factory=set)
 
 
-class _BufferCounters:
-    """Pre-resolved registry counters for the pool's hot paths."""
-
-    __slots__ = ("hits", "misses", "evictions", "flushes")
-
-    def __init__(self, component):
-        self.hits = component.counter("hits")
-        self.misses = component.counter("misses")
-        self.evictions = component.counter("evictions")
-        self.flushes = component.counter("flushes")
-
-
 class BufferManager:
     """Fixed-capacity LRU buffer pool with pin counting."""
 
-    def __init__(self, disk: SimulatedDisk, capacity: int = 128):
+    def __init__(self, disk: SimulatedDisk, capacity: int = 128,
+                 metrics: ComponentMetrics | None = None):
         if capacity < 1:
             raise StorageError("buffer pool needs at least one frame")
         self.disk = disk
         self.capacity = capacity
-        self.stats = BufferStats()
+        #: ``buffer.*`` counters (a private registry when built alone).
+        self.metrics = metrics or MetricsRegistry().component("buffer")
+        self._hits = self.metrics.counter("hits")
+        self._misses = self.metrics.counter("misses")
+        self._evictions = self.metrics.counter("evictions")
+        self._flushes = self.metrics.counter("flushes")
         # Recency-ordered: least-recently used first.  A fetch moves the
         # frame to the tail, so eviction pops from the head in O(1) (the
         # scan below only skips pinned frames).
         self._frames: "OrderedDict[PageId, _Frame]" = OrderedDict()
         self._captures: list[_CaptureWindow] = []
-        self._metrics = None
-
-    def attach_metrics(self, component) -> None:
-        """Mirror pool activity into registry counters (``buffer.*``)."""
-        self._metrics = _BufferCounters(component)
 
     # -- core protocol -------------------------------------------------------
 
@@ -114,26 +74,19 @@ class BufferManager:
         page_id = (volume, page_no)
         frame = self._frames.get(page_id)
         if frame is None:
-            self.stats.misses += 1
-            if self._metrics is not None:
-                self._metrics.misses.inc()
+            self._misses.inc()
             self._ensure_room()
             if read_through:
                 self.disk.read_through(volume, page_no)
             frame = _Frame(page_id, bytearray(self.disk.read_page(volume, page_no)))
             self._frames[page_id] = frame
-            if len(self._frames) > self.stats.peak_resident:
-                self.stats.peak_resident = len(self._frames)
         else:
-            self.stats.hits += 1
-            if self._metrics is not None:
-                self._metrics.hits.inc()
+            self._hits.inc()
             self._frames.move_to_end(page_id)
         for window in self._captures:
             if page_id not in window.before:
                 window.before[page_id] = bytes(frame.data)
         frame.pin_count += 1
-        self.stats.pins += 1
         return frame.data
 
     def unpin(self, volume: int, page_no: int, dirty: bool = False) -> None:
@@ -141,7 +94,6 @@ class BufferManager:
         if frame is None or frame.pin_count == 0:
             raise StorageError(f"unpin of unpinned page {volume}.{page_no}")
         frame.pin_count -= 1
-        self.stats.unpins += 1
         frame.dirty = frame.dirty or dirty
         if dirty:
             for window in self._captures:
@@ -164,13 +116,9 @@ class BufferManager:
     def _evict(self, frame: _Frame) -> None:
         if frame.dirty:
             self.disk.write_page(*frame.page_id, bytes(frame.data))
-            self.stats.flushes += 1
-            if self._metrics is not None:
-                self._metrics.flushes.inc()
+            self._flushes.inc()
         del self._frames[frame.page_id]
-        self.stats.evictions += 1
-        if self._metrics is not None:
-            self._metrics.evictions.inc()
+        self._evictions.inc()
 
     # -- page-image capture (write-ahead logging support) --------------------
 
@@ -184,7 +132,6 @@ class BufferManager:
         open, independently of the others.
         """
         self._captures.append(_CaptureWindow())
-        self.stats.capture_windows += 1
 
     def end_capture(self) -> list[tuple[PageId, bytes, bytes]]:
         """Close the innermost window; return ``(page_id, before, after)``
@@ -219,9 +166,7 @@ class BufferManager:
         if frame is not None and frame.dirty:
             self.disk.write_page(volume, page_no, bytes(frame.data))
             frame.dirty = False
-            self.stats.flushes += 1
-            if self._metrics is not None:
-                self._metrics.flushes.inc()
+            self._flushes.inc()
 
     def flush_all(self) -> None:
         for page_id in sorted(self._frames):

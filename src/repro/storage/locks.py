@@ -23,6 +23,11 @@ from repro.core.errors import (
     LockError,
     LockTimeoutError,
 )
+from repro.obs.events import EventJournal
+from repro.obs.metrics import ComponentMetrics, MetricsRegistry
+
+#: Blocking waits at least this long (ms) are journaled as ``lock.wait``.
+SLOW_WAIT_MS = 50.0
 
 
 class LockMode(Enum):
@@ -40,32 +45,25 @@ class _ResourceLocks:
     waiting: list[tuple[Any, LockMode]] = field(default_factory=list)
 
 
-@dataclass
-class LockStats:
-    """Operational counts: grants, blocking waits and their outcomes."""
-
-    acquisitions: int = 0
-    waits: int = 0
-    deadlocks: int = 0
-    timeouts: int = 0
-    releases: int = 0
-    cancels: int = 0
-
-    def reset(self) -> None:
-        self.acquisitions = 0
-        self.waits = 0
-        self.deadlocks = 0
-        self.timeouts = 0
-        self.releases = 0
-        self.cancels = 0
-
-
 class LockManager:
     """S/X lock table with wait-for-graph deadlock detection."""
 
-    def __init__(self, timeout: float = 10.0):
+    def __init__(self, timeout: float = 10.0,
+                 metrics: ComponentMetrics | None = None,
+                 events: EventJournal | None = None):
         self.timeout = timeout
-        self.stats = LockStats()
+        #: ``locks.*`` counters plus the ``locks.wait_ms`` histogram of
+        #: blocking-wait durations (a private registry when built alone).
+        self.metrics = metrics or MetricsRegistry().component("locks")
+        self._acquisitions = self.metrics.counter("acquisitions")
+        self._waits = self.metrics.counter("waits")
+        self._deadlocks = self.metrics.counter("deadlocks")
+        self._timeouts = self.metrics.counter("timeouts")
+        self._releases = self.metrics.counter("releases")
+        self._cancels = self.metrics.counter("cancels")
+        self._wait_ms = self.metrics.histogram("wait_ms")
+        #: Deadlocks and slow or failed waits are journaled here.
+        self._events = EventJournal() if events is None else events
         self._lock = threading.Lock()
         self._condition = threading.Condition(self._lock)
         self._table: dict[Hashable, _ResourceLocks] = {}
@@ -74,26 +72,6 @@ class LockManager:
         # owners whose in-flight waits were cancelled externally; the
         # parked thread consumes (and clears) its own flag on wake-up.
         self._cancelled: set[Any] = set()
-        self._metrics = None
-        self._wait_ms = None
-        self._events = None
-        self._slow_wait_ms = 50.0
-
-    def attach_metrics(self, component) -> None:
-        """Mirror lock activity into registry counters (``locks.*``) plus
-        a ``locks.wait_ms`` histogram of blocking-wait durations."""
-        self._metrics = component
-        self._wait_ms = component.histogram("wait_ms")
-
-    def attach_events(self, journal, slow_wait_ms: float = 50.0) -> None:
-        """Journal deadlocks and lock waits longer than ``slow_wait_ms``."""
-        self._events = journal
-        self._slow_wait_ms = slow_wait_ms
-
-    def _count(self, name: str) -> None:
-        setattr(self.stats, name, getattr(self.stats, name) + 1)
-        if self._metrics is not None:
-            self._metrics.counter(name).inc()
 
     def _note_wait_end(
         self, owner: Any, resource: Hashable, mode: LockMode,
@@ -102,11 +80,8 @@ class LockManager:
         """Account one finished blocking wait: histogram always, journal
         when it was slow or ended badly."""
         waited_ms = (time.monotonic() - started) * 1e3
-        if self._wait_ms is not None:
-            self._wait_ms.observe(waited_ms)
-        if self._events is None:
-            return
-        if outcome != "granted" or waited_ms >= self._slow_wait_ms:
+        self._wait_ms.observe(waited_ms)
+        if outcome != "granted" or waited_ms >= SLOW_WAIT_MS:
             self._events.emit(
                 "lock.wait",
                 owner=owner, resource=repr(resource), mode=mode.value,
@@ -133,33 +108,31 @@ class LockManager:
             self._cancelled.discard(owner)  # stale flag from a past abort
             entry = self._table.setdefault(resource, _ResourceLocks())
             if self._try_grant(entry, owner, resource, mode):
-                self._count("acquisitions")
+                self._acquisitions.inc()
                 return
             if deadline_timeout == 0:
                 # No-wait probe (the server uses this while holding the
                 # engine latch, where parking would stall every session).
-                self._count("timeouts")
+                self._timeouts.inc()
                 self._drop_empty(resource)
                 raise LockTimeoutError(
                     f"{mode.value} on {resource!r} is not available "
                     "(no-wait)"
                 )
             entry.waiting.append((owner, mode))
-            self._count("waits")
+            self._waits.inc()
             wait_started = time.monotonic()
             try:
                 if self._would_deadlock(owner):
-                    self._count("deadlocks")
-                    if self._events is not None:
-                        self._events.emit(
-                            "lock.deadlock",
-                            victim=owner, resource=repr(resource),
-                            mode=mode.value,
-                            winners=sorted(
-                                (repr(o) for o in entry.granted
-                                 if o != owner),
-                            ),
-                        )
+                    self._deadlocks.inc()
+                    self._events.emit(
+                        "lock.deadlock",
+                        victim=owner, resource=repr(resource),
+                        mode=mode.value,
+                        winners=sorted(
+                            (repr(o) for o in entry.granted if o != owner),
+                        ),
+                    )
                     raise DeadlockError(
                         f"lock {mode.value} on {resource!r} by {owner!r} "
                         "would deadlock"
@@ -171,7 +144,7 @@ class LockManager:
                 )
                 if owner in self._cancelled:
                     self._cancelled.discard(owner)
-                    self._count("cancels")
+                    self._cancels.inc()
                     self._note_wait_end(owner, resource, mode,
                                         wait_started, "cancelled")
                     raise LockCancelledError(
@@ -179,13 +152,13 @@ class LockManager:
                         f"{owner!r} was cancelled"
                     )
                 if not granted:
-                    self._count("timeouts")
+                    self._timeouts.inc()
                     self._note_wait_end(owner, resource, mode,
                                         wait_started, "timeout")
                     raise LockTimeoutError(
                         f"timed out waiting for {mode.value} on {resource!r}"
                     )
-                self._count("acquisitions")
+                self._acquisitions.inc()
                 self._note_wait_end(owner, resource, mode,
                                     wait_started, "granted")
             finally:
@@ -284,7 +257,7 @@ class LockManager:
                 raise LockError(f"{owner!r} holds no lock on {resource!r}")
             del entry.granted[owner]
             self._held.get(owner, set()).discard(resource)
-            self._count("releases")
+            self._releases.inc()
             if not entry.granted and not entry.waiting:
                 del self._table[resource]
             self._condition.notify_all()
@@ -306,7 +279,7 @@ class LockManager:
                 entry = self._table.get(resource)
                 if entry and owner in entry.granted:
                     del entry.granted[owner]
-                    self._count("releases")
+                    self._releases.inc()
                     self._drop_empty(resource)
             self._held.pop(owner, None)
             self._retract_waits(owner)

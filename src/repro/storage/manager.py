@@ -55,13 +55,13 @@ class StorageManager:
         self.disk = SimulatedDisk(params, page_base=page_base)
         self.disk.attach_metrics(self.metrics.component("disk"))
         self.volume = self.disk.mount_volume()
-        self.buffer = BufferManager(self.disk, buffer_capacity)
-        self.buffer.attach_metrics(self.metrics.component("buffer"))
-        self.wal = WriteAheadLog(self.disk.params)
-        self.wal.attach_metrics(self.metrics.component("wal"))
-        self.locks = LockManager()
-        self.locks.attach_metrics(self.metrics.component("locks"))
-        self.locks.attach_events(self.events)
+        self.buffer = BufferManager(
+            self.disk, buffer_capacity, self.metrics.component("buffer")
+        )
+        self.wal = WriteAheadLog(self.disk.params, self.metrics.component("wal"))
+        self.locks = LockManager(
+            metrics=self.metrics.component("locks"), events=self.events
+        )
         self.txns = TransactionManager(self.wal, self.locks, self._apply_page_image)
         self.txns.on_abort = self._refresh_after_abort
         #: The storage latch (shared with the transaction manager and used
@@ -287,9 +287,7 @@ class StorageManager:
         self.disk.crash()
         self.txns.active.clear()
         self.txns.in_doubt.clear()   # resurrected from the log on restart
-        self.locks = LockManager()
-        self.locks.attach_metrics(self.metrics.component("locks"))
-        self.locks.attach_events(self.events)
+        self.locks = LockManager(metrics=self.locks.metrics, events=self.events)
         self.txns.locks = self.locks
         self.events.emit("storage.crash")
         self._run_reset_hooks()

@@ -11,7 +11,8 @@ later restart redoes it too.
 
 The log itself is durable by construction (it survives
 :meth:`~repro.storage.disk.SimulatedDisk.crash`), mirroring a log kept on a
-separate stable device; ``force`` accounts the sequential log write.
+separate stable device; ``force`` counts the log pages it writes
+(``wal.pages_written``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.storage.disk import DiskParams, IOStats
+from repro.obs.metrics import ComponentMetrics, MetricsRegistry
+from repro.storage.disk import DiskParams
 
 
 class LogKind(Enum):
@@ -69,37 +71,26 @@ class LogRecord:
         return f"<{self.lsn} {self.kind.value} txn={self.txn_id}>"
 
 
-class _WalCounters:
-    """Pre-resolved registry counters for the log's hot paths."""
-
-    __slots__ = ("records", "forces", "pages_written")
-
-    def __init__(self, component):
-        self.records = component.counter("records")
-        self.forces = component.counter("forces")
-        self.pages_written = component.counter("pages_written")
-
-
 class WriteAheadLog:
-    """Append-only log of :class:`LogRecord`, with I/O accounting."""
+    """Append-only log of :class:`LogRecord`, counted into ``wal.*``."""
 
-    def __init__(self, params: DiskParams | None = None):
+    def __init__(self, params: DiskParams | None = None,
+                 metrics: ComponentMetrics | None = None):
         self.params = params or DiskParams()
-        self.stats = IOStats()
+        # ``wal.*`` counters: appended records, fsync-equivalent forces,
+        # log pages written (a private registry when built alone).
+        metrics = metrics or MetricsRegistry().component("wal")
+        self._records_appended = metrics.counter("records")
+        self._forces = metrics.counter("forces")
+        self._pages_written = metrics.counter("pages_written")
         self._records: list[LogRecord] = []
         self._next_lsn = 1
         self._forced_lsn = 0
         self._checkpoint_lsn = 0
         self._unforced_bytes = 0
-        self._metrics = None
         # Serialises appends and forces: concurrent server sessions commit
         # through one shared log, and LSN allocation must stay gap-free.
         self._mutex = threading.RLock()
-
-    def attach_metrics(self, component) -> None:
-        """Mirror log activity into registry counters (``wal.*``):
-        appended records, fsync-equivalent forces, log pages written."""
-        self._metrics = _WalCounters(component)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -138,8 +129,7 @@ class WriteAheadLog:
             if kind is LogKind.CHECKPOINT:
                 self._checkpoint_lsn = record.lsn
             self._unforced_bytes += 32 + len(before or b"") + len(after or b"")
-            if self._metrics is not None:
-                self._metrics.records.inc()
+            self._records_appended.inc()
             return record.lsn
 
     def force(self) -> None:
@@ -148,10 +138,8 @@ class WriteAheadLog:
             if self._forced_lsn == self.last_lsn:
                 return
             pages = max(1, -(-self._unforced_bytes // self.params.block_size))
-            self.stats.charge_sequential_write(self.params, pages)
-            if self._metrics is not None:
-                self._metrics.forces.inc()
-                self._metrics.pages_written.inc(pages)
+            self._forces.inc()
+            self._pages_written.inc(pages)
             self._forced_lsn = self.last_lsn
             self._unforced_bytes = 0
 

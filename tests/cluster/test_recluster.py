@@ -191,15 +191,16 @@ def test_extent_growth_keeps_page_map_incrementally():
     pad = "y" * 1500   # a couple of objects per page: steady extent growth
     first = db.new_object("Fat", {"n": 0, "pad": pad})
     db.get(first.oid)  # warm the cache
-    hits_before = db.object_cache.stats.hits
-    inval_before = db.object_cache.stats.invalidations
+    metrics = db.kernel.storage.metrics
+    hits_before = metrics.value("objcache.hits")
+    inval_before = metrics.value("objcache.invalidations")
     for n in range(1, 30):
         db.new_object("Fat", {"n": n, "pad": pad})
     # The warm entry survived every page allocation...
     db.get(first.oid)
-    assert db.object_cache.stats.hits == hits_before + 1
+    assert metrics.value("objcache.hits") == hits_before + 1
     # ...and no wholesale flush was charged against the cache.
-    assert db.object_cache.stats.invalidations == inval_before
+    assert metrics.value("objcache.invalidations") == inval_before
     # New pages resolve without a rebuild: deref an object on a late page.
     last = db.new_object("Fat", {"n": 99, "pad": pad})
     assert db.get(last.oid).state["n"] == 99

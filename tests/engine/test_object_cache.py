@@ -86,12 +86,13 @@ def test_deref_many_returns_one_object_per_oid_in_caller_order():
     db.set_cache_enabled(True)
     _cold_buffer(db)
     probe = db.io_probe()
+    before = db.kernel.storage.metrics.snapshot()
     fetched = objects.deref_many(batch)
     assert [obj.oid for obj in fetched] == batch
     assert db.io_since(probe).page_reads == len(pages)
-    stats = db.object_cache.stats
-    assert (stats.misses, stats.batches, stats.batched_oids) == \
-        (len(oids), 1, len(oids))
+    counts = db.kernel.storage.metrics.since(before)
+    assert (counts["objcache.misses"], counts["objcache.batches"],
+            counts["objcache.batched_oids"]) == (len(oids), 1, len(oids))
 
 
 def test_warm_charges_nothing_with_the_cache_off():
@@ -155,10 +156,13 @@ def test_lru_eviction_respects_capacity(small_db):
     objects.set_cache_enabled(True)
     cache = objects.cache
     companies = small_db.extent("Company")[:20]
+    before = small_db.kernel.storage.metrics.snapshot()
     for company in companies:
         objects.deref(company.oid)
     assert len(cache) == 8
-    assert cache.stats.evictions == 12
+    evictions = small_db.kernel.storage.metrics.since(before)[
+        "objcache.evictions"]
+    assert evictions == 12
     # Most recent distinct derefs survive, oldest were evicted.
     assert companies[-1].oid in cache
     assert companies[0].oid not in cache
@@ -416,7 +420,7 @@ def test_property_cached_equals_uncached_on_random_path_queries():
             assert _forced_forward_rows(cached, sql) == \
                 _forced_forward_rows(uncached, sql), sql
 
-    assert cached.object_cache.stats.hits > 0
+    assert cached.kernel.storage.metrics.value("objcache.hits") > 0
 
 
 # --------------------------------------------------------------------------

@@ -198,15 +198,16 @@ def test_widening_argument_accepted(setup):
 def test_scope_caching(setup):
     _, manager = setup
     vehicle = make_vehicle()
-    manager.stats.reset()
+    counts = manager.metrics
+    counts.registry.reset()
     manager.invoke(vehicle, "lbweight")
     manager.invoke(vehicle, "lbweight")
     manager.invoke(vehicle, "lbweight")
-    assert manager.stats.loads == 1
-    assert manager.stats.cache_hits == 2
+    assert counts.counter("loads").value == 1
+    assert counts.counter("cache_hits").value == 2
     manager.end_scope()
     manager.invoke(vehicle, "lbweight")
-    assert manager.stats.loads == 2
+    assert counts.counter("loads").value == 2
 
 
 def test_self_attribute_assignment(setup):
@@ -237,9 +238,10 @@ def test_return_type_coercions(setup):
 
 def test_stats_counters(setup):
     _, manager = setup
-    manager.stats.reset()
+    counts = manager.metrics
+    counts.registry.reset()
     vehicle = make_vehicle()
     manager.invoke(vehicle, "lbweight")
     manager.invoke(vehicle, "heavier_than", [1])
-    assert manager.stats.invocations == 2
-    assert manager.stats.compiles >= 2
+    assert counts.counter("dispatches").value == 2
+    assert counts.counter("compiles").value >= 2

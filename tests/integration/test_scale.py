@@ -35,12 +35,13 @@ def test_selective_path_query_correct_at_scale(big_db):
 
 
 def test_buffer_pool_cycles_under_pressure(big_db):
-    stats = big_db.kernel.storage.buffer.stats
-    stats.reset()
+    metrics = big_db.kernel.storage.metrics
+    before = metrics.snapshot()
     big_db.query("SELECT c FROM Company c WHERE c.name = 'BMW'")
+    counts = metrics.since(before)
     # 4000 companies cannot fit in 24 frames: evictions must happen.
-    assert stats.evictions > 0
-    assert stats.misses > 24
+    assert counts["buffer.evictions"] > 0
+    assert counts["buffer.misses"] > 24
 
 
 def test_io_accounting_scales_with_extent(big_db):

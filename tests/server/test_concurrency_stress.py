@@ -183,7 +183,7 @@ def test_opposite_order_transactions_deadlock_and_retry(manager):
 
     # Exactly one victim, detected (not timed out); its retry succeeded.
     assert sorted(outcomes.values()) == ["committed", "retried"], outcomes
-    assert manager.kernel.storage.locks.stats.deadlocks >= 1
+    assert manager.kernel.storage.metrics.value("locks.deadlocks") >= 1
 
     session = manager.open_session()
     left = manager.execute(session, "SELECT t.value FROM Left t")[0].rows

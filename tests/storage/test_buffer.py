@@ -22,9 +22,8 @@ def test_fetch_miss_then_hit():
     pool.unpin(vol, 0)
     pool.fetch(vol, 0)
     pool.unpin(vol, 0)
-    assert pool.stats.misses == 1
-    assert pool.stats.hits == 1
-    assert pool.stats.hit_ratio == pytest.approx(0.5)
+    assert pool.metrics.counter("misses").value == 1
+    assert pool.metrics.counter("hits").value == 1
 
 
 def test_dirty_page_written_back_on_eviction():
@@ -38,7 +37,7 @@ def test_dirty_page_written_back_on_eviction():
         pool.fetch(vol, page)
         pool.unpin(vol, page)
     assert disk.peek_page(vol, 0)[0] == 0xAB
-    assert pool.stats.evictions >= 1
+    assert pool.metrics.counter("evictions").value >= 1
 
 
 def test_clean_page_eviction_skips_writeback():
@@ -190,7 +189,6 @@ def test_nested_capture_windows():
     # Outer window saw both its own change and the inner window's.
     assert outer_pages == {(vol, 0), (vol, 1)}
     assert pool.capture_depth == 0
-    assert pool.stats.capture_windows == 2
 
 
 def test_nested_capture_inner_window_ignores_outer_only_pages():

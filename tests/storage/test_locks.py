@@ -159,7 +159,7 @@ def test_cancel_waits_wakes_parked_waiter_with_cancelled_error():
     thread.join(timeout=10)
     assert not thread.is_alive()
     assert outcome["victim"] == "cancelled"
-    assert lm.stats.cancels == 1
+    assert lm.metrics.counter("cancels").value == 1
 
 
 def test_release_all_retracts_queued_waits_no_phantom_edges():

@@ -1,7 +1,7 @@
 """Tests for the storage-layer metrics wiring (repro.obs.metrics).
 
-Every storage component mirrors its book-keeping into a shared
-:class:`MetricsRegistry` under a stable prefix: ``disk.*``, ``buffer.*``,
+Every storage component counts into a shared :class:`MetricsRegistry`
+(its only ledger) under a stable prefix: ``disk.*``, ``buffer.*``,
 ``locks.*``, ``wal.*`` (and ``functions.*`` one layer up).  These tests pin
 the counter semantics the observability layer documents: hit-ratio
 arithmetic, eviction accounting under capacity pressure, and the
@@ -89,8 +89,8 @@ def test_esm_sequential_is_random_charges_full_random_cost():
 def test_buffer_hit_ratio_counters_match_stats():
     registry = MetricsRegistry()
     disk, vol = make_disk()
-    pool = BufferManager(disk, capacity=4)
-    pool.attach_metrics(registry.component("buffer"))
+    pool = BufferManager(disk, capacity=4,
+                         metrics=registry.component("buffer"))
 
     pool.fetch(vol, 0); pool.unpin(vol, 0)   # miss
     pool.fetch(vol, 0); pool.unpin(vol, 0)   # hit
@@ -98,31 +98,28 @@ def test_buffer_hit_ratio_counters_match_stats():
     pool.fetch(vol, 0); pool.unpin(vol, 0)   # hit
     pool.fetch(vol, 1); pool.unpin(vol, 1)   # hit
 
-    assert registry.value("buffer.hits") == pool.stats.hits == 3
-    assert registry.value("buffer.misses") == pool.stats.misses == 2
-    assert pool.stats.fetches == 5
-    assert pool.stats.hit_ratio == pytest.approx(0.6)
-    assert pool.stats.peak_resident == 2
+    assert registry.value("buffer.hits") == 3
+    assert registry.value("buffer.misses") == 2
+    assert pool.resident_pages == [(vol, 0), (vol, 1)]
 
 
 def test_eviction_accounting_under_capacity_pressure():
     registry = MetricsRegistry()
     disk, vol = make_disk(pages=8)
-    pool = BufferManager(disk, capacity=2)
-    pool.attach_metrics(registry.component("buffer"))
+    pool = BufferManager(disk, capacity=2,
+                         metrics=registry.component("buffer"))
 
     for page in range(6):
         frame = pool.fetch(vol, page)
+        assert len(pool.resident_pages) <= 2   # never exceeds capacity
         frame[0] = page + 1
         pool.unpin(vol, page, dirty=page % 2 == 0)
 
     # 6 fetches into 2 frames: 4 evictions; the dirty victims flushed.
-    assert registry.value("buffer.evictions") == pool.stats.evictions == 4
-    assert registry.value("buffer.flushes") == pool.stats.flushes
-    assert pool.stats.flushes >= 2           # pages 0 and 2 were dirty victims
-    assert pool.stats.peak_resident == 2     # never exceeds capacity
+    assert registry.value("buffer.evictions") == 4
+    assert registry.value("buffer.flushes") == 2   # victims pages 0 and 2
     pool.flush_all()
-    assert registry.value("buffer.flushes") == pool.stats.flushes
+    assert registry.value("buffer.flushes") == 3   # resident dirty page 4
 
 
 # -- lock counters ----------------------------------------------------------
@@ -130,8 +127,7 @@ def test_eviction_accounting_under_capacity_pressure():
 
 def test_lock_counters_acquisitions_waits_deadlocks():
     registry = MetricsRegistry()
-    lm = LockManager(timeout=2.0)
-    lm.attach_metrics(registry.component("locks"))
+    lm = LockManager(timeout=2.0, metrics=registry.component("locks"))
 
     lm.acquire("t1", "a", LockMode.X)
     lm.acquire("t2", "b", LockMode.X)
@@ -155,9 +151,9 @@ def test_lock_counters_acquisitions_waits_deadlocks():
     lm.release_all("t2")
     thread.join()
     assert released["t1"]
-    # t1's granted wait counts as an acquisition; all stats mirrored.
-    assert registry.value("locks.acquisitions") == lm.stats.acquisitions == 3
-    assert registry.value("locks.releases") == lm.stats.releases
+    # t1's granted wait counts as an acquisition.
+    assert registry.value("locks.acquisitions") == 3
+    assert registry.value("locks.releases") == 1   # t2's b, by release_all
 
 
 # -- whole-manager wiring ---------------------------------------------------

@@ -66,7 +66,7 @@ def test_a_short_gap_is_read_through(gap):
     assert delta.elapsed_ms == pytest.approx((gap + 1) * PARAMS.ebt)
     # The gap's bytes are discarded: only the wanted pages are buffered.
     assert pool.resident_pages == [(volume, 10), (volume, 11 + gap)]
-    assert pool.stats.misses == 2
+    assert pool.metrics.counter("misses").value == 2
 
 
 def test_a_gap_past_the_limit_seeks():
@@ -192,9 +192,7 @@ def _run(db, frontiers, touches):
     storage.buffer.drop_all()
     storage.disk.crash()
     objects.invalidate_cache()
-    hits, misses, evictions = (storage.buffer.stats.hits,
-                               storage.buffer.stats.misses,
-                               storage.buffer.stats.evictions)
+    before = storage.metrics.snapshot()
     probe = db.io_probe()
     rows, resident = [], []
     for frontier, touch in zip(frontiers, touches):
@@ -203,10 +201,10 @@ def _run(db, frontiers, touches):
         for obj in batch[:touch]:
             objects.update_object(obj)
         resident.append(storage.buffer.resident_pages)
+    counts = storage.metrics.since(before)
     same = (rows, resident,
-            storage.buffer.stats.hits - hits,
-            storage.buffer.stats.misses - misses,
-            storage.buffer.stats.evictions - evictions)
+            *(counts.get(f"buffer.{name}", 0.0)
+              for name in ("hits", "misses", "evictions")))
     return same, db.io_since(probe)
 
 
