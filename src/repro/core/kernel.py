@@ -498,30 +498,32 @@ class MoodKernel:
             if entry is not None:
                 self.trace.append(TraceEvent("PLAN_CACHE", "hit"))
                 return entry.plan
-        self.trace.append(TraceEvent("SIMPLIFY"))
-        self.trace.append(TraceEvent("DNF"))
-        self.trace.append(TraceEvent("OPTIMIZE"))
         started = time.perf_counter()
-        plan = self.planner().plan_query(query)
-        self._fuse_plan(plan)
+        plan = self._compile(query)
         self._compile_ms.observe((time.perf_counter() - started) * 1e3)
         if key is not None:
-            # Fusion runs before the store, so fused plans are cached and
-            # invalidated under the same schema/stats stamps as any plan.
+            # The relink runs before the store, so relinked plans are
+            # cached and invalidated under the same schema/stats stamps as
+            # any plan.
             self.plan_cache.store(
                 key, plan, self.catalog.schema_version, self.stats.version
             )
         return plan
 
-    def _fuse_plan(self, plan: QueryPlan) -> None:
-        """Apply the join-fusion rewrite.  It is unconditional: the plan
-        shape depends on no switch, and with the object cache off a fused
-        node still charges one read per chase."""
-        fused = fuse_query_plan(plan)
-        if fused:
+    def _compile(self, query: SelectQuery) -> QueryPlan:
+        """The compile back half over refreshed statistics: simplify, DNF
+        and cost-based planning, then the join-fusion relink.  The relink
+        is unconditional: the plan shape depends on no switch."""
+        self.trace.append(TraceEvent("SIMPLIFY"))
+        self.trace.append(TraceEvent("DNF"))
+        self.trace.append(TraceEvent("OPTIMIZE"))
+        plan = self.planner().plan_query(query)
+        relinked = fuse_query_plan(plan)
+        if relinked:
             self.trace.append(
-                TraceEvent("FUSE", f"{fused} traversal chain(s)")
+                TraceEvent("FUSE", f"{relinked} traversal chain(s)")
             )
+        return plan
 
     # -- SYS$ monitor views --------------------------------------------------
 
@@ -598,12 +600,8 @@ class MoodKernel:
             )
         pipeline = describe_rewrite(statement.query)
         if not statement.analyze:
-            self.trace.append(TraceEvent("SIMPLIFY"))
-            self.trace.append(TraceEvent("DNF"))
-            self.trace.append(TraceEvent("OPTIMIZE"))
             self.refresh_statistics()
-            plan = self.planner().plan_query(statement.query)
-            self._fuse_plan(plan)
+            plan = self._compile(statement.query)
             self.last_plan = plan
             report = explain_query_plan(plan, pipeline)
             return ExplainResult(report=report, plan=plan, spans=[])

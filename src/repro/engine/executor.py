@@ -13,8 +13,7 @@ executor holds no cache switch of its own.
 
 When a :class:`~repro.obs.spans.SpanRecorder` is attached, every plan node
 additionally opens a structured span (rows out, charged I/O, wall time)
-nested to mirror the plan tree; the flat trace is kept as-is, and each
-trace event is also attached to the span open at emission time.
+nested to mirror the plan tree; the flat trace is kept as-is.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.engine.joins import (
     PipelinedLeaf,
     backward_traversal,
     forward_traversal,
-    fused_traversal,
     hash_partition_join,
     indexed_join,
     nested_loop_join,
@@ -39,7 +37,6 @@ from repro.engine.objects import ObjectManager
 from repro.optimizer.plan import (
     BindNode,
     DupElimNode,
-    FusedTraversalNode,
     IndSelNode,
     JoinNode,
     NamedRef,
@@ -92,10 +89,7 @@ class Executor:
         return self._exec(plan.root)
 
     def _emit(self, operator: str, detail: str = "") -> None:
-        event = TraceEvent(operator, detail)
-        self.trace.append(event)
-        if self.spans is not None:
-            self.spans.event(str(event))
+        self.trace.append(TraceEvent(operator, detail))
 
     # -- dispatch ------------------------------------------------------------
 
@@ -119,8 +113,6 @@ class Executor:
             return self._exec_select(node)
         if isinstance(node, NamedRef):
             return self._exec_named(node)
-        if isinstance(node, FusedTraversalNode):
-            return self._exec_fused(node)
         if isinstance(node, JoinNode):
             return self._exec_join(node)
         if isinstance(node, ProjectNode):
@@ -244,33 +236,6 @@ class Executor:
         ]
 
     # -- joins --------------------------------------------------------------
-
-    def _exec_fused(self, node: FusedTraversalNode) -> list[Row]:
-        left = self._exec(node.input)
-        # Figure 7.2 discipline: each hop's residual predicates are
-        # conceptually a SELECT below the join, traced before it; the
-        # fused chain itself is one JOIN event so flat traces keep the
-        # SELECT - JOIN - PROJECT order the F72 benchmark prints.
-        for hop in node.hops:
-            if hop.predicates:
-                self._emit("SELECT",
-                           " AND ".join(str(p) for p in hop.predicates))
-        self._emit("JOIN", "FUSED_TRAVERSAL, " + "; ".join(
-            f"{hop.left_var}.{hop.attr} = {hop.right_var}.self"
-            for hop in node.hops
-        ))
-
-        def on_hop(hop, rows_in, frontier, rows_out):
-            self.spans.event(
-                f"HOP({hop.left_var}.{hop.attr} -> {hop.right_var}: "
-                f"rows_in={rows_in}, batch={frontier}, "
-                f"rows_out={rows_out})"
-            )
-
-        return fused_traversal(
-            left, node.hops, self.objects, self.evaluator,
-            on_hop=on_hop if self.spans is not None else None,
-        )
 
     def _exec_join(self, node: JoinNode) -> list[Row]:
         if node.method == "NESTED_LOOP":
@@ -452,16 +417,12 @@ def _dedup(rows: list[Row], key_vars: tuple[str, ...] | None = None) -> list[Row
 
 
 def _bound_class(node: PlanNode, var: str) -> str | None:
-    """The class a plan subtree binds ``var`` to: its BIND/INDSEL leaf or
-    fused hop (temporaries included).  A join index is chosen by this
-    class, not by attribute name alone, which several classes may share."""
+    """The class a plan subtree binds ``var`` to: its BIND/INDSEL leaf
+    (temporaries included).  A join index is chosen by this class, not
+    by attribute name alone, which several classes may share."""
     for sub in node.walk():
         if isinstance(sub, (BindNode, IndSelNode)) and sub.var == var:
             return sub.class_name
-        if isinstance(sub, FusedTraversalNode):
-            for hop in sub.hops:
-                if hop.right_var == var:
-                    return hop.class_name
         if isinstance(sub, NamedRef) and sub.plan is not None:
             found = _bound_class(sub.plan, var)
             if found is not None:

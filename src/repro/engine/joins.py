@@ -17,13 +17,14 @@ The kernels share three helpers: :func:`_chase` dereferences a whole
 join level with one
 :meth:`~repro.engine.objects.ObjectManager.deref_many`, :func:`_probe`
 applies a pipelined leaf's include filter and residual predicates, and
-:func:`_match` joins against a materialised right side on OIDs.
-:func:`fused_traversal` runs a whole *chain* of forward traversals as
-one set operation, a ``_chase`` + ``_probe`` per hop.  The kernels never
-ask how a chase is charged: the object manager batches a level into
-page-clustered reads when its cache is on, and charges one read per
-chase in caller order when it is off, exactly as the paper's cost
-formulas price it.
+:func:`_match` joins against a materialised right side on OIDs.  A
+chain of forward traversals is no operator of its own: run left-deep
+(the shape :mod:`repro.optimizer.fuse` relinks chains into), each
+:func:`forward_traversal` is one ``_chase`` + ``_probe`` of its hop's
+whole frontier.  The kernels never ask how a chase is charged: the
+object manager batches a level into page-clustered reads when its cache
+is on, and charges one read per chase in caller order when it is off,
+exactly as the paper's cost formulas price it.
 """
 
 from __future__ import annotations
@@ -134,51 +135,6 @@ def forward_traversal(
 ) -> list[Row]:
     return _join(_references(left_rows, left_var, attr), right, right_var,
                  objects, evaluator)
-
-
-@dataclass(frozen=True)
-class TraversalHop:
-    """One fused forward-traversal step: chase ``left_var.attr`` into
-    ``right_var``, keeping objects of the ``include`` closure that pass
-    the hop's residual ``predicates`` (the pipelined leaf's SELECT)."""
-
-    left_var: str
-    attr: str
-    right_var: str
-    class_name: str
-    include: tuple[str, ...]
-    predicates: tuple[Expr, ...]
-
-
-def fused_traversal(
-    left_rows: list[Row],
-    hops: tuple[TraversalHop, ...],
-    objects: ObjectManager,
-    evaluator: ExpressionEvaluator,
-    on_hop=None,
-) -> list[Row]:
-    """Run a chain of forward traversals as one set operation.
-
-    Per hop the frontier -- every reference OID reachable from the
-    surviving rows -- is dereferenced with a single :meth:`deref_many`
-    call; include-filter and residual predicates are then applied row by
-    row.
-
-    ``on_hop(hop, rows_in, frontier_size, rows_out)`` is invoked after
-    each hop with the number of *distinct* frontier OIDs, for span
-    accounting (batch sizes in EXPLAIN ANALYZE); it is also the seam the
-    invalidation tests use to interleave DDL/abort/crash between hops.
-    """
-    rows = list(left_rows)
-    for hop in hops:
-        pairs = _references(rows, hop.left_var, hop.attr)
-        next_rows = _probe(_chase(pairs, objects), hop.right_var,
-                           hop.include, hop.predicates, evaluator)
-        if on_hop is not None:
-            frontier = len({oid for _, oid in pairs})
-            on_hop(hop, len(rows), frontier, len(next_rows))
-        rows = next_rows
-    return rows
 
 
 def backward_traversal(

@@ -20,7 +20,6 @@ from typing import Any, Callable
 from repro.optimizer.plan import (
     BindNode,
     DupElimNode,
-    FusedTraversalNode,
     IndSelNode,
     JoinNode,
     NamedRef,
@@ -46,8 +45,6 @@ def describe_node(node: PlanNode) -> tuple[str, str]:
         return "TEMP", node.name
     if isinstance(node, JoinNode):
         return "JOIN", f"{node.method}, {node.predicate_text}"
-    if isinstance(node, FusedTraversalNode):
-        return "FUSED_TRAVERSAL", "; ".join(node.hop_texts())
     if isinstance(node, ProjectNode):
         return "PROJECT", ", ".join(str(p) for p in node.projections) or "*"
     if isinstance(node, UnionNode):
@@ -72,7 +69,6 @@ class Span:
     io: IOStats | None = None         # charged I/O of the whole subtree
     wall_ms: float = 0.0              # host wall-clock of the whole subtree
     children: list["Span"] = field(default_factory=list)
-    events: list[str] = field(default_factory=list)  # flat trace events
     trace_id: str | None = None       # the statement trace this belongs to
 
     # -- subtree vs self ---------------------------------------------------
@@ -156,11 +152,6 @@ class SpanRecorder:
             if before is not None:
                 span.io = self.io_probe().since(before)
             self._stack.pop()
-
-    def event(self, text: str) -> None:
-        """Attach a flat trace event to the currently open span."""
-        if self._stack:
-            self._stack[-1].events.append(text)
 
     def current(self) -> Span | None:
         return self._stack[-1] if self._stack else None

@@ -1,41 +1,35 @@
-"""Join fusion: collapse forward-traversal chains into one set operation.
+"""Join fusion as a reorder: relink right-deep forward chains left-deep.
 
 A path query like Example 8.2's ``v.drivetrain.engine.cylinders = 2``
 plans as a chain of FORWARD_TRAVERSAL joins over pipelined leaves (a
 BIND, optionally under a residual SELECT).  Algorithm 8.2's greedy
-ordering produces either shape:
+ordering may emit the chain **right-deep** -- the most selective tail
+join first, ``JOIN(v, JOIN(d, leaf(e)))`` with ``v.drivetrain =
+d.self`` -- and the executor then scans the whole ``d`` extent to build
+rows the head join mostly discards.
 
-* **left-deep** (the paper's Example 8.1 print): each join's right side
-  is the next leaf -- ``JOIN(JOIN(v, d), leaf(e))``;
-* **right-deep**: the most selective tail join runs first and the head
-  join matches into its materialised rows --
-  ``JOIN(v, JOIN(d, leaf(e)))`` with ``v.drivetrain = d.self``.
+Following the select + navigate fusion of Odra (PAPERS.md), what fusing
+the chain changes is the *order* of the chases: from the head's rows,
+chase one hop's frontier at a time, applying each leaf's include filter
+and residual predicates as the hop lands.  That is exactly the
+**left-deep** chain ``JOIN(JOIN(v, leaf(d)), leaf(e))`` run by the
+ordinary FORWARD_TRAVERSAL kernel, one ``deref_many`` per hop.  So this
+pass relinks the planner's own ``JoinNode``s and leaves into that shape
+and adds no operator: every node keeps its planner cost, so EXPLAIN's
+``total_estimated_cost()`` is unchanged, and the chain's top join keeps
+the chain's estimated cardinality.
 
-Run node by node, each join level batches its own derefs but still pays
-per-operator dispatch and materialises an intermediate row set per hop
-(the right-deep shape even scans whole extents to build rows the head
-join then discards).  Following the collection-join fusion of Odra
-(PAPERS.md), this pass rewrites both shapes into a single
-:class:`FusedTraversalNode`: the executor collects the frontier OID set
-per hop and dereferences it with one page-clustered ``deref_many``
-call, applying each hop's include filter and residual predicates in the
-same pass.
-
-The rewrite preserves hop order, predicates and join semantics, and is
-applied by the kernel to every plan, *after* cost-based planning and
-*before* the plan-cache store, so fused plans are cached and invalidated
-by the same schema/stats stamps as any other plan.  The fused node's
-estimated cost aggregates the fused joins (and their absorbed subtrees),
-keeping EXPLAIN cost totals stable under fusion.
+The kernel applies the pass to every plan, *after* cost-based planning
+and *before* the plan-cache store, so relinked plans are cached and
+invalidated by the same schema/stats stamps as any other plan.  Chains
+that are already left-deep, or have one hop, come back untouched.
 """
 
 from __future__ import annotations
 
-from repro.engine.joins import TraversalHop
 from repro.optimizer.plan import (
     BindNode,
     DupElimNode,
-    FusedTraversalNode,
     JoinNode,
     NamedRef,
     PartitionNode,
@@ -47,17 +41,15 @@ from repro.optimizer.plan import (
 )
 from repro.optimizer.planner import QueryPlan
 
-#: Chains contributing fewer hops than this stay ordinary JoinNodes: a
-#: single forward traversal already batches its derefs (PR 2's
-#: ``_chase``), so fusing it would change plan shapes without changing
-#: the I/O.
-MIN_HOPS = 2
+#: (join, leaf) in chase order: ``join`` chases into ``leaf``.
+Links = list[tuple[JoinNode, PlanNode]]
 
 
-def fuse_query_plan(plan: QueryPlan, min_hops: int = MIN_HOPS) -> int:
-    """Fuse forward-traversal chains in ``plan`` (in place, including
-    temporaries); returns the number of FUSED_TRAVERSAL nodes created."""
-    state = _FuseState(min_hops)
+def fuse_query_plan(plan: QueryPlan) -> int:
+    """Relink right-deep forward-traversal chains in ``plan`` left-deep
+    (in place, including temporaries); returns the number of chains
+    relinked."""
+    state = _RelinkState()
     rewritten: list[tuple[str, PlanNode]] = []
     for name, temp in plan.temporaries:
         new_temp = state.rewrite(temp)
@@ -66,110 +58,54 @@ def fuse_query_plan(plan: QueryPlan, min_hops: int = MIN_HOPS) -> int:
         rewritten.append((name, new_temp))
     plan.temporaries = rewritten
     plan.root = state.rewrite(plan.root)
-    return state.fused
+    return state.relinked
 
 
-def _pipelined_leaf(node: PlanNode):
-    """(bind, predicates) when the node is a leaf the traversal kernels
-    pipeline: a BIND, or a SELECT directly over one."""
-    if isinstance(node, BindNode):
-        return node, ()
-    if isinstance(node, SelectNode) and isinstance(node.input, BindNode):
-        return node.input, node.predicates
-    return None
+def _leaf_var(node: PlanNode) -> str | None:
+    """The variable a pipelined leaf binds -- a BIND, or a SELECT
+    directly over one -- else ``None``."""
+    if isinstance(node, SelectNode):
+        node = node.input
+    return node.var if isinstance(node, BindNode) else None
 
 
-def _structured(node: PlanNode) -> bool:
-    return (
-        isinstance(node, JoinNode)
-        and node.method == "FORWARD_TRAVERSAL"
-        and node.left_var is not None
-        and node.attr is not None
-        and node.right_var is not None
-    )
-
-
-def join_hops(node: PlanNode) -> list[TraversalHop] | None:
-    """The hops one JoinNode's *right side* contributes when fusible.
-
-    A pipelined leaf binding the join's right variable yields one hop.
-    A right side that is itself a pure forward-traversal chain whose
-    head leaf binds the right variable (the right-deep shape) yields
-    that whole chain as hops -- chasing into the head leaf first, then
-    replaying the chain's own hops in execution order.  ``None`` means
-    the join is not fusible.
-    """
-    if not _structured(node):
+def _chain(node: PlanNode) -> tuple[PlanNode, Links] | None:
+    """``(base, links)`` when ``node`` tops a forward-traversal chain:
+    ``base`` is the subtree the first hop chases from, and every hop
+    lands on a pipelined leaf binding the join's right variable.  A
+    right side that is itself such a chain (the right-deep shape) is
+    spliced in after the join that chases into its head."""
+    if not (isinstance(node, JoinNode)
+            and node.method == "FORWARD_TRAVERSAL"
+            and None not in (node.left_var, node.attr, node.right_var)):
         return None
-    leaf = _pipelined_leaf(node.right)
-    if leaf is not None:
-        bind, predicates = leaf
-        if bind.var != node.right_var:
-            return None
-        return [TraversalHop(node.left_var, node.attr, node.right_var,
-                             bind.class_name, bind.include_classes,
-                             predicates)]
-    # Right-deep: walk the right side's left spine down to its head.
-    spine: list[JoinNode] = []
-    cursor = node.right
-    while isinstance(cursor, JoinNode):
-        if not _structured(cursor):
-            return None
-        cursor_leaf = _pipelined_leaf(cursor.right)
-        if cursor_leaf is None or cursor_leaf[0].var != cursor.right_var:
-            return None
-        spine.append(cursor)
-        cursor = cursor.left
-    head = _pipelined_leaf(cursor)
-    if head is None or head[0].var != node.right_var:
+    base, links = _chain(node.left) or (node.left, [])
+    head, tail = _chain(node.right) or (node.right, [])
+    if _leaf_var(head) != node.right_var:
         return None
-    head_bind, head_predicates = head
-    hops = [TraversalHop(node.left_var, node.attr, node.right_var,
-                         head_bind.class_name, head_bind.include_classes,
-                         head_predicates)]
-    for join in reversed(spine):
-        bind, predicates = _pipelined_leaf(join.right)
-        hops.append(TraversalHop(join.left_var, join.attr, join.right_var,
-                                 bind.class_name, bind.include_classes,
-                                 predicates))
-    return hops
+    return base, links + [(node, head)] + tail
 
 
-class _FuseState:
-    def __init__(self, min_hops: int):
-        self.min_hops = min_hops
-        self.fused = 0
-        #: id(old temporary plan) -> its fused replacement, so NamedRef
+class _RelinkState:
+    def __init__(self):
+        self.relinked = 0
+        #: id(old temporary plan) -> its relinked root, so NamedRef
         #: nodes keep pointing at the plan that is actually in the list.
         self.replaced: dict[int, PlanNode] = {}
 
     def rewrite(self, node: PlanNode) -> PlanNode:
-        if isinstance(node, JoinNode) and join_hops(node) is not None:
-            # Walk down the left spine gathering the whole chain.
-            chain = [node]
-            cursor = node.left
-            while isinstance(cursor, JoinNode) \
-                    and join_hops(cursor) is not None:
-                chain.append(cursor)
-                cursor = cursor.left
-            hops = [
-                hop
-                for join in reversed(chain)
-                for hop in join_hops(join)
-            ]
-            if len(hops) >= self.min_hops:
-                base = self.rewrite(cursor)
-                fused = FusedTraversalNode(base, tuple(hops))
-                # The absorbed right subtrees no longer appear as
-                # children; fold their costs in to keep totals unchanged.
-                fused.estimated_cost = sum(
-                    join.estimated_cost + join.right.total_estimated_cost()
-                    for join in chain
-                )
-                fused.estimated_cardinality = node.estimated_cardinality
-                self.fused += 1
-                return fused
-            # Chain too short: fall through and rewrite the children.
+        chain = _chain(node)
+        if chain is not None:
+            base, links = chain
+            right_deep = any(join.right is not leaf for join, leaf in links)
+            top: PlanNode = self.rewrite(base)
+            for join, leaf in links:
+                join.left, join.right = top, leaf
+                top = join
+            if right_deep:
+                top.estimated_cardinality = node.estimated_cardinality
+                self.relinked += 1
+            return top
         if isinstance(node, NamedRef):
             if node.plan is not None and id(node.plan) in self.replaced:
                 node.plan = self.replaced[id(node.plan)]
@@ -178,8 +114,7 @@ class _FuseState:
             node.left = self.rewrite(node.left)
             node.right = self.rewrite(node.right)
         elif isinstance(node, (SelectNode, ProjectNode, SortNode,
-                               PartitionNode, DupElimNode,
-                               FusedTraversalNode)):
+                               PartitionNode, DupElimNode)):
             node.input = self.rewrite(node.input)
         elif isinstance(node, UnionNode):
             node.inputs = tuple(

@@ -16,12 +16,8 @@ Example 8.1's plan renders exactly in the paper's style::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.sql.ast import Expr, OrderItem, Path
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.joins import TraversalHop
 
 
 @dataclass
@@ -166,47 +162,6 @@ class JoinNode(PlanNode):
             f"{self.right.render(indent + 1)},\n"
             f"{_pad(indent + 1)}{self.method},\n"
             f"{_pad(indent + 1)}{self.predicate_text})"
-        )
-
-
-@dataclass
-class FusedTraversalNode(PlanNode):
-    """FUSED_TRAVERSAL(input, hop, hop, ...): a chain of forward
-    traversals collapsed into one set operation (ROADMAP item 2, after
-    Odra's collection-join fusion).
-
-    Each hop chases ``left_var.attr`` into ``right_var``; the executor
-    collects the surviving rows' frontier OID set per hop and
-    dereferences it with a single page-clustered ``deref_many`` call.
-    ``estimated_cost`` aggregates the fused joins' costs so EXPLAIN
-    totals are unchanged by fusion.
-    """
-
-    input: PlanNode
-    hops: tuple["TraversalHop", ...]
-
-    def children(self) -> list[PlanNode]:
-        return [self.input]
-
-    @staticmethod
-    def _hop_text(hop: "TraversalHop") -> str:
-        text = f"{hop.left_var}.{hop.attr} -> {hop.right_var}"
-        if hop.predicates:
-            preds = " AND ".join(_expr_text(p) for p in hop.predicates)
-            text += f" [SELECT {preds}]"
-        return text
-
-    def hop_texts(self) -> list[str]:
-        return [self._hop_text(hop) for hop in self.hops]
-
-    def render(self, indent: int = 0) -> str:
-        hops = ",\n".join(
-            f"{_pad(indent + 1)}{text}" for text in self.hop_texts()
-        )
-        return (
-            f"{_pad(indent)}FUSED_TRAVERSAL(\n"
-            f"{self.input.render(indent + 1)},\n"
-            f"{hops})"
         )
 
 

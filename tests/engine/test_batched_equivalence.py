@@ -4,13 +4,13 @@ The contract: batching, fusion and the choice of join method are purely
 *physical*.  For randomized chain schemas (with a binary join index on
 every reference), data, interleaved writes and path queries, every cell
 of the {four join methods, forced and unfused} x {object cache on, off}
-matrix -- plus the fused forward traversal -- must return the identical
-row multiset, and the planner's own plans (which also exercise the plan
-cache) must agree too.  With the cache on, the fused plan must never
-charge *more* simulated page I/O than the unfused forward traversal.
-With the cache off no such bound holds: a fused hop charges one read per
-chase of its whole frontier, which can cost more than the unfused plan's
-pipelined per-row chases.
+matrix -- plus the fused (relinked left-deep) forward traversal -- must
+return the identical row multiset, and the planner's own plans (which
+also exercise the plan cache) must agree too.  With the cache on, the
+fused plan must never charge *more* simulated page I/O than the unfused
+forward traversal.  With the cache off no such bound holds: a fused hop
+charges one read per chase of its whole frontier, which can cost more
+than the unfused plan's scan of the tail extent.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.core.database import MoodDatabase
 from repro.engine.executor import Executor
 from repro.optimizer.fuse import fuse_query_plan
-from repro.optimizer.plan import FusedTraversalNode, JoinNode
+from repro.optimizer.plan import JoinNode
 from repro.sql.parser import parse
 
 #: (label, cache_enabled) -- one database per cache setting.
@@ -182,8 +182,10 @@ def test_four_way_matrix_row_equivalence_and_io(
 
 def test_matrix_agrees_after_ddl_and_restart():
     """A deterministic end-to-end shake: DDL invalidation plus a crash and
-    restart leave both cells still agreeing (and both cells actually
-    fused their forced plans before the fault)."""
+    restart leave both cells still agreeing (and both cells run their
+    forced plans as the fused, left-deep chain before the fault: the
+    planner already emits this chain left-deep, so the relink leaves it
+    untouched)."""
     sizes = [6, 9, 9]
     cells = {
         label: _build(2, sizes, seed=99, cache=cache) for label, cache in CELLS
@@ -192,10 +194,11 @@ def test_matrix_agrees_after_ddl_and_restart():
 
     for label, (db, _) in cells.items():
         plan = _forced_plan(db, sql)
-        assert fuse_query_plan(plan) == 1, label
-        assert isinstance(
-            plan.root.children()[0], (FusedTraversalNode, JoinNode)
-        )
+        assert fuse_query_plan(plan) == 0, label
+        joins = [node for node in plan.root.walk()
+                 if isinstance(node, JoinNode)]
+        assert len(joins) == 2, label
+        assert not any(isinstance(join.right, JoinNode) for join in joins)
 
     baseline = None
     for label, (db, _) in cells.items():

@@ -14,7 +14,7 @@ import pytest
 from repro.bench.paperdb import build_paper_database
 from repro.core.database import MoodDatabase
 from repro.core.errors import MoodError
-from repro.engine.joins import TraversalHop, fused_traversal
+from repro.engine.joins import PipelinedLeaf, forward_traversal
 from repro.engine.objcache import ObjectCache
 
 
@@ -424,38 +424,33 @@ def test_property_cached_equals_uncached_on_random_path_queries():
 
 
 # --------------------------------------------------------------------------
-# Mid-batch invalidation: fused traversals must never serve stale hops
+# Mid-batch invalidation: a fused (left-deep) chain must never serve stale
+# hops
 # --------------------------------------------------------------------------
 
-_CHAIN_HOPS = (
-    TraversalHop("v", "drivetrain", "d", "VehicleDriveTrain", (), ()),
-    TraversalHop("d", "engine", "e", "VehicleEngine", (), ()),
-)
+def _hop(db, rows, left_var, attr, right_var, class_name):
+    return forward_traversal(
+        rows, left_var, attr, PipelinedLeaf(right_var, class_name, (), ()),
+        right_var, db.kernel.objects, db.kernel.evaluator,
+    )
 
 
 def _run_fused_chain(db, mutate):
-    """Run the Example 8.2 chain as one fused traversal, invoking
-    ``mutate(db)`` *between* the two hops -- after the drivetrain batch
-    materialized, before the engine frontier is dereferenced.  The engine
-    extent is pre-warmed into the cache first, so any invalidation the
-    mutation misses would be served stale from the warm entries."""
+    """Run the Example 8.2 chain as the fused plan runs it -- two
+    forward traversals, one frontier each -- invoking ``mutate(db)``
+    *between* the hops: after the drivetrain batch materialized, before
+    the engine frontier is dereferenced.  The engine extent is pre-warmed
+    into the cache first, so any invalidation the mutation misses would
+    be served stale from the warm entries."""
     if db.object_cache is not None:
         db.kernel.objects.deref_many(
             [obj.oid for obj in db.extent("VehicleEngine")]
         )
-    fired = []
-
-    def on_hop(hop, rows_in, batch, rows_out):
-        if hop.right_var == "d" and not fired:
-            fired.append(hop)
-            mutate(db)
-
-    rows = fused_traversal(
-        [{"v": obj} for obj in db.extent("Vehicle")],
-        _CHAIN_HOPS, db.kernel.objects, db.kernel.evaluator, on_hop=on_hop,
-    )
-    assert fired, "the mutation hook must fire between the hops"
-    return rows
+    rows = _hop(db, [{"v": obj} for obj in db.extent("Vehicle")],
+                "v", "drivetrain", "d", "VehicleDriveTrain")
+    assert rows, "the drivetrain hop must materialize before the mutation"
+    mutate(db)
+    return _hop(db, rows, "d", "engine", "e", "VehicleEngine")
 
 
 def test_fused_hop_sees_committed_update_mid_batch(small_db):

@@ -1,11 +1,10 @@
-"""Observability of set-oriented execution: FUSED_TRAVERSAL spans carry
-per-hop batch sizes and true actuals in EXPLAIN ANALYZE, and the
-statement-level surfaces (SYS$STATEMENTS, span reports) stay consistent
-when the executor runs batched."""
+"""Observability of set-oriented execution: a fused chain's two
+FORWARD_TRAVERSAL join spans carry true actuals in EXPLAIN ANALYZE, the
+report's cache line counts one batch per hop, and the statement-level
+surfaces (SYS$STATEMENTS, span reports) stay consistent when the
+executor runs batched."""
 
 from __future__ import annotations
-
-import re
 
 import pytest
 
@@ -17,12 +16,6 @@ from repro.optimizer.plan import JoinNode
 from repro.sql.parser import parse
 
 SQL = "SELECT v FROM Vehicle v WHERE v.drivetrain.engine.cylinders = 2"
-
-_HOP = re.compile(
-    r"HOP\((?P<hop>[^:]+): rows_in=(?P<rows_in>\d+), "
-    r"batch=(?P<batch>\d+), rows_out=(?P<rows_out>\d+)\)"
-)
-
 
 @pytest.fixture
 def db():
@@ -52,45 +45,47 @@ def _cold(db):
     db.kernel.storage.buffer.drop_all()
 
 
+def _join_spans(result):
+    """The FORWARD_TRAVERSAL join spans, top of the chain first."""
+    return [
+        span
+        for root in result.spans
+        for span in root.walk()
+        if span.operator == "JOIN" and "FORWARD_TRAVERSAL" in span.detail
+    ]
+
+
 def test_fused_span_reports_hop_batches_and_actuals(db):
     _cold(db)
     result = db.kernel.analyze_plan(_fused_plan(db))
-    fused = next(
-        (
-            span
-            for root in result.spans
-            for span in root.walk()
-            if span.operator == "FUSED_TRAVERSAL"
-        ),
-        None,
-    )
-    assert fused is not None
-    assert "v.drivetrain -> d" in fused.detail
-    assert "d.engine -> e" in fused.detail
+    spans = _join_spans(result)
+    assert len(spans) == 2
+    top, inner = spans
+    assert "d.engine = e.self" in top.detail
+    assert "v.drivetrain = d.self" in inner.detail
 
-    # The span's actuals are the real execution figures: the fused rows_out
+    # The rows chain from one hop to the next: the head hop reads the
+    # whole Vehicle BIND, and its output is the tail hop's only input.
+    assert top.children == [inner]
+    bind, = inner.children
+    assert bind.operator == "BIND" and "Vehicle, v" in bind.detail
+    assert bind.rows_out >= inner.rows_out >= top.rows_out
+
+    # The spans' actuals are the real execution figures: the top rows_out
     # equals the query's answer, and the cold chase charged page I/O.
-    assert fused.rows_out == len(result.result.binding_rows) > 0
-    assert fused.io is not None and fused.io.page_ios > 0
+    answer = len(result.result.binding_rows)
+    assert top.rows_out == answer > 0
+    assert top.io is not None and top.io.page_ios > 0
+    assert inner.io is not None and inner.io.page_ios > 0
 
-    # Every hop reported its frontier batch, chained rows_in -> rows_out.
-    hops = [_HOP.match(e).groupdict() for e in fused.events
-            if e.startswith("HOP(")]
-    assert len(hops) == 2
-    assert [h["hop"] for h in hops] == \
-        ["v.drivetrain -> d", "d.engine -> e"]
-    assert all(int(h["batch"]) > 0 for h in hops)
-    assert int(hops[0]["rows_out"]) == int(hops[1]["rows_in"])
-    assert int(hops[1]["rows_out"]) == fused.rows_out
-
-    # The ANALYZE report renders the fused operator with its actuals.
+    # One deref_many per hop: the cache line counts the hop batches.
     text = result.report.render()
-    assert "FUSED_TRAVERSAL" in text
-    assert f" {fused.rows_out} " in text or f" {fused.rows_out}\n" in text
+    assert "batches=2" in text
+    assert f" {answer} " in text or f" {answer}\n" in text
 
 
 def test_fused_span_actuals_match_unfused_answer(db):
-    """The fused node's rows_out is the same answer the paper-faithful
+    """The fused chain's rows_out is the same answer the paper-faithful
     execution (cache off, unfused plan) produces -- actuals are never
     shape-dependent."""
     _cold(db)
@@ -121,7 +116,7 @@ def test_fused_span_actuals_match_unfused_answer(db):
 def test_sys_statements_row_consistent_with_fused_spans(db):
     """A statement trace recorded from a fused execution surfaces through
     SYS$STATEMENTS with rows/io_pages equal to its span-tree actuals, and
-    its span report renders the FUSED_TRAVERSAL operator."""
+    its span report renders both FORWARD_TRAVERSAL joins."""
     _cold(db)
     result = db.kernel.analyze_plan(_fused_plan(db))
     root = result.spans[0]
@@ -147,5 +142,5 @@ def test_sys_statements_row_consistent_with_fused_spans(db):
     assert io_pages == root.io.page_ios > 0
 
     report = db.kernel.statement_log.find(trace_id).span_report()
-    assert "FUSED_TRAVERSAL" in report
+    assert report.count("JOIN(FORWARD_TRAVERSAL") == 2
     assert f"rows={rows}" in report

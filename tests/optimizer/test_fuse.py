@@ -1,5 +1,6 @@
-"""The join-fusion rewrite: which shapes fuse, what stays untouched, and
-how fusion composes with the kernel's cache switch and plan cache."""
+"""Join fusion as a reorder: which chains are relinked left-deep, what
+stays untouched, and how the relink composes with planner temporaries,
+the kernel's cache switch and the plan cache."""
 
 from __future__ import annotations
 
@@ -7,11 +8,11 @@ import pytest
 
 from repro.bench.paperdb import build_paper_database
 from repro.core.database import MoodDatabase
-from repro.optimizer.fuse import MIN_HOPS, fuse_query_plan
+from repro.optimizer.fuse import fuse_query_plan
 from repro.optimizer.plan import (
     BindNode,
-    FusedTraversalNode,
     JoinNode,
+    NamedRef,
     SelectNode,
 )
 from repro.optimizer.planner import QueryPlan
@@ -38,7 +39,27 @@ def _forced_forward(db, sql):
             force(child)
 
     force(plan.root)
+    for _, temp in plan.temporaries:
+        force(temp)
     return plan
+
+
+def _total_cost(plan):
+    return plan.root.total_estimated_cost() + sum(
+        temp.total_estimated_cost() for _, temp in plan.temporaries
+    )
+
+
+def _ids(db, plan):
+    return sorted(
+        row["v"].state["id"]
+        for row in db.kernel.analyze_plan(plan).result.binding_rows
+    )
+
+
+def _shape(node):
+    """The plan tree as nested tuples of node identities."""
+    return (id(node), tuple(_shape(child) for child in node.children()))
 
 
 def _find(root, node_type):
@@ -65,87 +86,150 @@ def _ft_join(left, right, left_var, attr, right_var, cost=0.0):
 
 
 def test_planner_chain_fuses_and_answers_unchanged(db):
-    """The planner's own (right-deep) Example 8.2 chain fuses into one
-    node whose execution matches the unfused plan row for row."""
-    unfused = _forced_forward(db, PATH_SQL)
-    baseline = sorted(
-        row["v"].state["id"]
-        for row in db.kernel.analyze_plan(unfused).result.binding_rows
-    )
+    """The planner's own right-deep Example 8.2 chain is relinked into a
+    left-deep chain of the same two JoinNodes and leaves: the rows match
+    the unreshaped plan and EXPLAIN's total cost is unchanged."""
+    unreshaped = _forced_forward(db, PATH_SQL)
+    baseline = _ids(db, unreshaped)
 
     plan = _forced_forward(db, PATH_SQL)
+    head_join = plan.root.input
+    tail_join = head_join.right
+    assert isinstance(tail_join, JoinNode)  # right-deep as planned
+    d_leaf, e_leaf = tail_join.left, tail_join.right
+    cost = _total_cost(plan)
+    cardinality = head_join.estimated_cardinality
+
     assert fuse_query_plan(plan) == 1
-    fused_nodes = _find(plan.root, FusedTraversalNode)
-    assert len(fused_nodes) == 1
-    hops = fused_nodes[0].hops
-    assert [(h.left_var, h.attr, h.right_var) for h in hops] == [
-        ("v", "drivetrain", hops[0].right_var),
-        (hops[0].right_var, "engine", hops[1].right_var),
+    # JOIN(v, JOIN(d, e)) became JOIN(JOIN(v, d), e), node for node.
+    assert plan.root.input is tail_join
+    assert tail_join.left is head_join and tail_join.right is e_leaf
+    assert head_join.right is d_leaf
+    assert isinstance(head_join.left, BindNode) and head_join.left.var == "v"
+    assert [(j.left_var, j.attr) for j in (head_join, tail_join)] == [
+        ("v", "drivetrain"), (d_leaf.var, "engine"),
     ]
-    assert "FUSED_TRAVERSAL" in plan.render()
-    assert not _find(plan.root, JoinNode)  # the whole chain was absorbed
+    assert {j.method for j in (head_join, tail_join)} == {"FORWARD_TRAVERSAL"}
+    assert _total_cost(plan) == pytest.approx(cost)
+    assert tail_join.estimated_cardinality == cardinality
 
-    fused_ids = sorted(
-        row["v"].state["id"]
-        for row in db.kernel.analyze_plan(plan).result.binding_rows
-    )
-    assert fused_ids == baseline and fused_ids
+    assert _ids(db, plan) == baseline and baseline
 
 
-def test_left_deep_chain_fuses():
-    """The paper's Example 8.1 print shape: each join's right side is the
-    next pipelined leaf."""
+def test_left_deep_chain_stays_untouched():
+    """The paper's Example 8.1 print shape -- each join's right side is
+    the next pipelined leaf -- is already the relinked shape."""
     v = BindNode("Vehicle", "v", ("Vehicle",))
     d = BindNode("VehicleDriveTrain", "d", ("VehicleDriveTrain",))
     e = SelectNode(BindNode("VehicleEngine", "e", ("VehicleEngine",)), ())
     inner = _ft_join(v, d, "v", "drivetrain", "d", cost=10.0)
     outer = _ft_join(inner, e, "d", "engine", "e", cost=20.0)
     plan = QueryPlan(root=outer, output_vars=("v",))
-    before = outer.total_estimated_cost()
+    shape = _shape(outer)
 
-    assert fuse_query_plan(plan) == 1
-    fused = plan.root
-    assert isinstance(fused, FusedTraversalNode)
-    assert isinstance(fused.input, BindNode) and fused.input.var == "v"
-    assert [(h.left_var, h.attr, h.right_var) for h in fused.hops] == [
-        ("v", "drivetrain", "d"), ("d", "engine", "e"),
-    ]
-    # Absorbed joins' costs fold into the fused node: totals unchanged.
-    assert fused.total_estimated_cost() == pytest.approx(before)
+    assert fuse_query_plan(plan) == 0
+    assert plan.root is outer and _shape(plan.root) == shape
+    assert plan.root.total_estimated_cost() == pytest.approx(30.0)
 
 
 def test_single_hop_stays_unfused(db):
-    """MIN_HOPS: one forward traversal already batches its derefs, so a
-    singleton chain keeps its JoinNode shape."""
-    assert MIN_HOPS == 2
+    """One forward traversal already batches its frontier: a single-hop
+    chain keeps its JoinNode shape."""
     plan = _forced_forward(
         db, "SELECT v FROM Vehicle v WHERE v.manufacturer.location = 'Munich'"
     )
+    shape = _shape(plan.root)
     assert fuse_query_plan(plan) == 0
-    assert not _find(plan.root, FusedTraversalNode)
+    assert _shape(plan.root) == shape
     assert _find(plan.root, JoinNode)
 
 
 def test_non_traversal_joins_stay_unfused():
-    """A NESTED_LOOP join (no structured triple) never fuses, even inside
-    a chain of the right length."""
+    """A NESTED_LOOP join (no structured triple) is no chain link, on
+    either side of a forward traversal."""
     v = BindNode("Vehicle", "v", ())
     d = BindNode("VehicleDriveTrain", "d", ())
     e = BindNode("VehicleEngine", "e", ())
-    inner = JoinNode(v, d, "NESTED_LOOP", "(v.drivetrain = d.self)")
-    outer = _ft_join(inner, e, "d", "engine", "e")
-    plan = QueryPlan(root=outer)
-    assert fuse_query_plan(plan) == 0
-    assert not _find(plan.root, FusedTraversalNode)
+    left_nested = _ft_join(
+        JoinNode(v, d, "NESTED_LOOP", "(v.drivetrain = d.self)"),
+        e, "d", "engine", "e",
+    )
+    right_nested = _ft_join(
+        v, JoinNode(d, e, "NESTED_LOOP", "(d.engine = e.self)"),
+        "v", "drivetrain", "d",
+    )
+    for root in (left_nested, right_nested):
+        plan = QueryPlan(root=root)
+        shape = _shape(root)
+        assert fuse_query_plan(plan) == 0
+        assert plan.root is root and _shape(plan.root) == shape
 
 
-def test_kernel_fuses_with_cache_disabled(db):
-    """Fusion depends on no switch: paper mode (cache off) gets the same
-    fused plan shape as the default mode."""
-    db.set_cache_enabled(False)
-    plan = _forced_forward(db, PATH_SQL)
-    db.kernel._fuse_plan(plan)
-    assert len(_find(plan.root, FusedTraversalNode)) == 1
+def test_kernel_fuses_with_cache_disabled(db, monkeypatch):
+    """The relink depends on no switch: paper mode (cache off) compiles
+    the planner's right-deep chain into the same left-deep chain the
+    default mode runs, and answers the same rows."""
+    plain_planner = db.kernel.planner
+
+    def forward_planner():
+        planner = plain_planner()
+        plan_query = planner.plan_query
+
+        def forced(query):
+            plan = plan_query(query)
+            for node in plan.root.walk():
+                if isinstance(node, JoinNode):
+                    node.method = "FORWARD_TRAVERSAL"
+            return plan
+
+        planner.plan_query = forced
+        return planner
+
+    monkeypatch.setattr(db.kernel, "planner", forward_planner)
+    rows = {}
+    for cache_enabled in (True, False):
+        db.set_cache_enabled(cache_enabled)
+        result = db.query(PATH_SQL)
+        rows[cache_enabled] = sorted(
+            row["v"].state["id"] for row in result.binding_rows
+        )
+        assert "FUSE" in {event.operator for event in result.trace}
+        chain = db.kernel.last_plan.root.input
+        assert isinstance(chain.left, JoinNode)
+        assert not any(isinstance(node.right, JoinNode)
+                       for node in chain.walk()
+                       if isinstance(node, JoinNode))
+    assert rows[True] == rows[False] and rows[True]
+
+
+def test_reshape_inside_planner_temporary(db):
+    """A right-deep chain inside temporary T1 is relinked behind the
+    root's NamedRef: every NamedRef keeps pointing at the plan stored in
+    ``plan.temporaries``, and the rows match the unreshaped plan with the
+    cache on and off."""
+    sql = (
+        "SELECT v.id FROM Vehicle v WHERE v.drivetrain.engine.cylinders = 2 "
+        "AND v.drivetrain.transmission = 'AUTOMATIC'"
+    )
+    for cache_enabled in (True, False):
+        db.set_cache_enabled(cache_enabled)
+        baseline = _ids(db, _forced_forward(db, sql))
+
+        plan = _forced_forward(db, sql)
+        assert [name for name, _ in plan.temporaries] == ["T1"]
+        (_, old_temp), = plan.temporaries
+        assert isinstance(old_temp.right, JoinNode)  # right-deep in T1
+        cost = _total_cost(plan)
+
+        assert fuse_query_plan(plan) == 1
+        temps = dict(plan.temporaries)
+        assert temps["T1"] is not old_temp
+        assert isinstance(temps["T1"].left, JoinNode)  # left-deep now
+        refs = [node for node in plan.root.walk()
+                if isinstance(node, NamedRef)]
+        assert refs and all(ref.plan is temps[ref.name] for ref in refs)
+        assert _total_cost(plan) == pytest.approx(cost)
+        assert _ids(db, plan) == baseline and baseline
 
 
 def test_cache_toggle_invalidates_plan_cache(db):
