@@ -4,7 +4,8 @@ MoodView talks to the MOOD kernel over a client/server boundary (the paper
 runs the interfaces as clients of a shared kernel on ESM); this module is
 that boundary's wire format -- and its one TCP front,
 :class:`FrameListener`, shared by the single-engine server and the
-sharded router:
+sharded router (:func:`answer_frame` is its per-frame step, which an
+in-process shard link calls directly):
 
 * a frame is a 4-byte big-endian payload length followed by a UTF-8 JSON
   document -- trivially debuggable with ``nc`` plus a hex dump, and
@@ -314,6 +315,21 @@ def telemetry_response(kernel, request: dict) -> dict:
     return ok_response({"rows": [encode_value(row) for row in rows]})
 
 
+def answer_frame(owner, session, payload: bytes) -> tuple[bytes, bool]:
+    """One request payload answered by ``owner`` for ``session``: the
+    response payload, and whether the request was a CLOSE (the peer hangs
+    up after answering it).  A payload that is no JSON object is answered
+    PROTOCOL and the conversation goes on -- the framing survived it."""
+    try:
+        request = decode_frame(payload)
+    except ProtocolError as exc:
+        return encode_frame(error_response(describe_error(exc))), False
+    response = owner.handle_request(session, request, payload)
+    if not isinstance(response, bytes):
+        response = encode_frame(response)
+    return response, request.get("op") == "CLOSE"
+
+
 # --------------------------------------------------------------------------
 # The listener
 # --------------------------------------------------------------------------
@@ -394,17 +410,9 @@ class FrameListener(socketserver.ThreadingTCPServer):
                 return
             if payload is None:
                 return
-            try:
-                request = decode_frame(payload)
-            except ProtocolError as exc:
-                # The framing survived a bad payload: answer, keep going.
-                send_frame(sock, error_response(describe_error(exc)))
-                continue
-            response = self.owner.handle_request(session, request, payload)
-            if not isinstance(response, bytes):
-                response = encode_frame(response)
+            response, closing = answer_frame(self.owner, session, payload)
             send_frame_bytes(sock, response)
-            if request.get("op") == "CLOSE":
+            if closing:
                 return
 
 

@@ -6,7 +6,8 @@ them look like one server.  Clients speak the ordinary frame protocol to
 the router; the router classifies each statement and either
 
 * **forwards** it whole to a single shard (the fast path -- a raw frame
-  relay, so a 1-shard deployment adds only one socket hop),
+  relay, so a 1-shard deployment of process shards adds only one socket
+  hop; an in-process shard's hop is a call),
 * **broadcasts** it (DDL, ANALYZE, and unhinted writes -- every shard
   holds the same schema, with writes made atomic by an internal
   two-phase commit), or
@@ -38,7 +39,6 @@ scatters to the shards like any query.
 
 from __future__ import annotations
 
-import socket
 import threading
 import time
 import uuid
@@ -61,11 +61,8 @@ from repro.obs.trace import StatementTrace, server_trace_id, truncate_statement
 from repro.server.protocol import (
     FrameListener,
     decode_frame,
-    encode_frame,
     error_response,
     ok_response,
-    recv_frame_bytes,
-    send_frame_bytes,
     telemetry_response,
     validate_request,
 )
@@ -103,10 +100,6 @@ _BROADCAST_STATEMENTS = (
     AnalyzeStmt,
 )
 
-#: Default seconds a router->shard call may take.
-DEFAULT_LINK_TIMEOUT = 60.0
-
-
 def shard_of_key(key, shard_count: int) -> int:
     """Deterministically map an application sharding key to a shard:
     integers partition by ``key % N`` (matching the benchmark's
@@ -126,57 +119,12 @@ class RouterConfig:
     backend: str = "process"      # "process" or "local" (in-process) workers
     worker_options: dict = field(default_factory=dict)
     txlog_path: str | None = None # coordinator decision log (None: in-memory)
-    link_timeout: float = DEFAULT_LINK_TIMEOUT
-    #: SYS$SHARD_HEALTH flags a shard hot when its statement rate is at
-    #: least ``hot_shard_skew`` times the cluster mean while running at
-    #: ``hot_shard_min_rate`` statements/second or more.
-    hot_shard_skew: float = 1.5
-    hot_shard_min_rate: float = 0.5
 
 
-class _ShardLink:
-    """One socket to one shard worker, speaking raw frames.
-
-    Responses pass through verbatim -- error payloads keep their stable
-    ``code``/``errno``/``retryable`` identity end to end.  Any transport
-    failure surfaces as :class:`ShardUnavailableError`; the owner must
-    then discard the link (its stream may be desynchronised).
-    """
-
-    def __init__(self, shard_index: int, address: tuple[str, int],
-                 timeout: float):
-        self.shard_index = shard_index
-        try:
-            self._sock = socket.create_connection(address, timeout=timeout)
-        except OSError as exc:
-            raise ShardUnavailableError(
-                f"shard {shard_index} unreachable at {address}: {exc}"
-            ) from None
-
-    def call(self, request):
-        """Send one frame -- a dict, or already-encoded bytes -- and return
-        the response in the same form.  Bytes in, bytes out is the relay
-        hot path: no JSON decode/re-encode at the router."""
-        raw = isinstance(request, bytes)
-        try:
-            send_frame_bytes(self._sock,
-                             request if raw else encode_frame(request))
-            response = recv_frame_bytes(self._sock)
-        except (OSError, ProtocolError) as exc:
-            raise ShardUnavailableError(
-                f"shard {self.shard_index} failed mid-call: {exc}"
-            ) from None
-        if response is None:
-            raise ShardUnavailableError(
-                f"shard {self.shard_index} hung up"
-            )
-        return response if raw else decode_frame(response)
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+def _close_links(links: dict) -> None:
+    for link in links.values():
+        link.close()
+    links.clear()
 
 
 class RouterSession:
@@ -185,7 +133,7 @@ class RouterSession:
 
     def __init__(self, session_id: int):
         self.session_id = session_id
-        self.links: dict[int, _ShardLink] = {}
+        self.links: dict = {}
         self.in_txn = False
         #: Shards holding an open branch of the current transaction.
         self.participants: set[int] = set()
@@ -204,11 +152,6 @@ class RouterSession:
         self.last_trace_id = ""
         self.txn_trace: str | None = None
         self.pending_spans: list = []
-
-    def close_links(self) -> None:
-        for link in self.links.values():
-            link.close()
-        self.links.clear()
 
 
 class ShardedServer:
@@ -293,7 +236,7 @@ class ShardedServer:
             "statements routed to it",
         )
         self._mutex = threading.Lock()
-        self._admin_links: dict[int, _ShardLink] = {}
+        self._admin_links: dict = {}
         # One lock per admin link: federated SYS$ queries scatter from
         # arbitrary client threads, and interleaved frames on a shared
         # link would desynchronise its stream.
@@ -317,7 +260,7 @@ class ShardedServer:
         if self._listener is not None:
             raise MoodError("router already started")
         for backend in self.backends:
-            if backend.address is None:
+            if not backend.alive:
                 backend.start()
         self.last_recovery = self.recover()
         self._listener = FrameListener(
@@ -335,9 +278,7 @@ class ShardedServer:
         if self._listener is not None and not self._stopped:
             self._stopped = True
             self._listener.close()
-        for link in self._admin_links.values():
-            link.close()
-        self._admin_links.clear()
+        _close_links(self._admin_links)
         if self._owns_backends:
             for backend in self.backends:
                 backend.stop()
@@ -353,9 +294,7 @@ class ShardedServer:
             self._stopped = True
             self._crashed = True
             self._listener.close(sever=True)
-        for link in self._admin_links.values():
-            link.close()
-        self._admin_links.clear()
+        _close_links(self._admin_links)
 
     def __enter__(self) -> "ShardedServer":
         self.start()
@@ -420,22 +359,23 @@ class ShardedServer:
         link.  Serialised per shard: concurrent federated queries must
         not interleave frames on the shared admin link."""
         with self._admin_locks[shard]:
-            for attempt in (0, 1):
-                link = self._admin_links.get(shard)
-                if link is None:
-                    address = self.backends[shard].address
-                    if address is None:
-                        raise ShardUnavailableError(f"shard {shard} is down")
-                    link = _ShardLink(shard, address, self.config.link_timeout)
-                    self._admin_links[shard] = link
-                try:
-                    return link.call(request)
-                except ShardUnavailableError:
-                    link.close()
-                    self._admin_links.pop(shard, None)
-                    if attempt == 1:
-                        raise
-        raise AssertionError("unreachable")
+            try:
+                return self._link_call(self._admin_links, shard, request)
+            except ShardUnavailableError:
+                return self._link_call(self._admin_links, shard, request)
+
+    def _link_call(self, links: dict, shard: int, request):
+        """One frame over ``links``' link to ``shard``, connected on first
+        use; a dead link is discarded so the next call reconnects."""
+        link = links.get(shard)
+        if link is None:
+            link = links[shard] = self.backends[shard].connect()
+        try:
+            return link.call(request)
+        except ShardUnavailableError:
+            link.close()
+            links.pop(shard, None)
+            raise
 
     # -- session plumbing -----------------------------------------------------
 
@@ -480,26 +420,15 @@ class ShardedServer:
                     pass
             session.in_txn = False
             session.participants.clear()
-        session.close_links()
+        _close_links(session.links)
 
     def _call_shard(self, session: RouterSession, shard: int, request):
-        """Send one frame (a dict, or raw bytes relayed verbatim) over
-        the session's link to ``shard``; a dead link is discarded so the
-        next statement redials."""
-        link = session.links.get(shard)
-        if link is None:
-            address = self.backends[shard].address
-            if address is None:
-                self._m_unavailable.inc()
-                raise ShardUnavailableError(f"shard {shard} is down")
-            link = _ShardLink(shard, address, self.config.link_timeout)
-            session.links[shard] = link
+        """One frame (a dict, or raw bytes relayed verbatim) over the
+        session's link to ``shard``, a failure counted as unavailable."""
         try:
-            return link.call(request)
+            return self._link_call(session.links, shard, request)
         except ShardUnavailableError:
             self._m_unavailable.inc()
-            link.close()
-            session.links.pop(shard, None)
             raise
 
     def _call_checked(self, session: RouterSession, shard: int, request):
@@ -921,9 +850,7 @@ class ShardedServer:
         session.in_txn = False
         session.txn_trace = None
         participants, session.participants = session.participants, set()
-        frame = {"op": "ROLLBACK"}
-        if trace is not None:
-            frame["trace"] = trace
+        frame = _shard_frame({"trace": trace}, "ROLLBACK")
         failed = 0
         for shard in sorted(participants):
             try:
@@ -949,9 +876,7 @@ class ShardedServer:
             return _synth_statement("COMMIT", "empty distributed transaction")
         if len(participants) == 1:
             # Single-shard transaction: an ordinary one-phase commit.
-            frame = {"op": "COMMIT"}
-            if trace is not None:
-                frame["trace"] = trace
+            frame = _shard_frame({"trace": trace}, "COMMIT")
             return self._call_checked(session, participants[0], frame)
         return self._commit_two_phase(session, participants, trace)
 
@@ -967,9 +892,7 @@ class ShardedServer:
         commit_started = time.monotonic()
         spans: list[Span] = []
         prepared: list[int] = []
-        prepare_frame = {"op": "PREPARE_TXN", "gid": gid}
-        if trace is not None:
-            prepare_frame["trace"] = trace
+        prepare_frame = _shard_frame({"trace": trace}, "PREPARE_TXN", gid=gid)
         for shard in participants:
             vote_started = time.monotonic()
             try:
@@ -1019,9 +942,8 @@ class ShardedServer:
         self._m_2pc_commits.inc()
         self._failpoint("after_decision")
         all_acked = True
-        commit_frame = {"op": "COMMIT_PREPARED", "gid": gid}
-        if trace is not None:
-            commit_frame["trace"] = trace
+        commit_frame = _shard_frame({"trace": trace}, "COMMIT_PREPARED",
+                                    gid=gid)
         for shard in participants:
             phase2_started = time.monotonic()
             try:
@@ -1057,11 +979,10 @@ class ShardedServer:
             if shard == voted_no:
                 continue  # its branch already rolled back with the error
             if shard in prepared:
-                frame = {"op": "ROLLBACK_PREPARED", "gid": gid}
+                frame = _shard_frame({"trace": trace}, "ROLLBACK_PREPARED",
+                                     gid=gid)
             else:
-                frame = {"op": "ROLLBACK"}
-            if trace is not None:
-                frame["trace"] = trace
+                frame = _shard_frame({"trace": trace}, "ROLLBACK")
             phase2_started = time.monotonic()
             try:
                 self._call_shard(session, shard, frame)
@@ -1118,7 +1039,7 @@ class ShardedServer:
         with self._mutex:
             counts = list(self._per_shard_statements)
         for i, backend in enumerate(self.backends):
-            address = backend.address or ("", 0)
+            address = getattr(backend, "address", None) or ("", 0)
             rows.append({
                 "shard": i,
                 "host": address[0],
@@ -1218,8 +1139,8 @@ def _synth_statement(kind: str, detail: str) -> dict:
 
 
 def _shard_frame(request: dict, op: str, **fields) -> dict:
-    """A fan-out frame: ``op`` and ``fields``, plus the client's trace id
-    and statement timeout."""
+    """A frame to a shard: ``op`` and ``fields``, plus the trace id and
+    statement timeout ``request`` carries."""
     frame = {"op": op, **fields}
     for key in ("trace", "timeout"):
         if request.get(key) is not None:

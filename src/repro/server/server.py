@@ -84,7 +84,10 @@ class MoodServer:
         self._inflight_mutex = threading.Lock()
         self._drained = threading.Condition(self._inflight_mutex)
         self._stopped = False
-        self._crashed = False
+        # The daemon runs from construction to stop(): a server answers
+        # in-process calls before (or without) start() adds a listener.
+        if self.config.recluster_interval is not None:
+            db.start_reclusterer(self.config.recluster_interval)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -95,8 +98,6 @@ class MoodServer:
         self._listener = FrameListener(
             self, (self.config.host, self.config.port), "mood-server-accept"
         )
-        if self.config.recluster_interval is not None:
-            self.db.start_reclusterer(self.config.recluster_interval)
         return self.address
 
     @property
@@ -106,8 +107,9 @@ class MoodServer:
         return self._listener.address
 
     def stop(self, graceful: bool = True) -> None:
-        """Shut down; with ``graceful`` drain in-flight statements first."""
-        if self._listener is None or self._stopped:
+        """Shut down (a server answering in-process only has no listener);
+        with ``graceful`` drain in-flight statements first."""
+        if self._stopped:
             return
         self._stopped = True
         # 0. Park the background reclusterer: a half-finished batch would
@@ -118,7 +120,8 @@ class MoodServer:
         # 2. No new connections; the listener socket is released, while
         #    connection threads run on until their clients hang up or
         #    their next statement is refused with SHUTTING_DOWN.
-        self._listener.close()
+        if self._listener is not None:
+            self._listener.close()
         if graceful:
             # 3. Drain: wait for every admitted statement to finish.
             deadline = time.monotonic() + self.config.shutdown_drain
@@ -134,22 +137,6 @@ class MoodServer:
             self.db.kernel.storage.checkpoint()
         else:
             self.sessions.close_all()
-
-    def simulate_crash(self) -> None:
-        """Die without grace: sever every connection and the listener,
-        skipping the drain / rollback / checkpoint tail of :meth:`stop`.
-        Sessions' open transactions are simply abandoned, exactly as a
-        process kill would leave them; pair with ``storage.crash()`` +
-        ``restart()`` to exercise crash recovery (including in-doubt
-        resurrection)."""
-        if self._listener is None or self._stopped:
-            return
-        self._stopped = True
-        self._crashed = True  # connections must not run their graceful tail
-        # A process kill takes the reclusterer thread with it; stop it so
-        # it cannot keep mutating the storage the test is about to crash.
-        self.db.stop_reclusterer()
-        self._listener.close(sever=True)
 
     def __enter__(self) -> "MoodServer":
         self.start()
@@ -177,10 +164,9 @@ class MoodServer:
         return self.sessions.open_session()
 
     def close_session(self, session: Session) -> None:
-        if not self._crashed:
-            self.sessions.close_session(session)
-            # A connection that died mid-transaction still holds a slot.
-            self._reconcile_ticket(session)
+        self.sessions.close_session(session)
+        # A connection that died mid-transaction still holds a slot.
+        self._reconcile_ticket(session)
 
     def handle_request(self, session: Session, request: dict,
                        raw: bytes | None = None) -> dict:

@@ -32,6 +32,11 @@ from repro.obs.views import TRACE_COLUMNS
 #: Shard index the router's own telemetry rows carry in federated views.
 ROUTER_SHARD = -1
 
+#: SYS$SHARD_HEALTH flags a shard hot at this skew over the cluster mean
+#: statement rate and at least this many statements/second.
+HOT_SHARD_SKEW = 1.5
+HOT_SHARD_MIN_RATE = 0.5
+
 #: Worker views the router federates (each gains a ``shard`` column).
 FEDERATED_VIEWS = (
     "SYS$SESSIONS", "SYS$STATEMENTS", "SYS$LOCKS", "SYS$COUNTERS",
@@ -222,8 +227,8 @@ class HotShardDetector:
     turns statement counts into rates over the window since that shard
     was last polled, and compares each shard's rate against the cluster
     mean: ``skew = rate / mean_rate``.  A shard whose skew crosses
-    ``RouterConfig.hot_shard_skew`` while running at least
-    ``hot_shard_min_rate`` statements/second is flagged ``hot`` --
+    :data:`HOT_SHARD_SKEW` while running at least
+    :data:`HOT_SHARD_MIN_RATE` statements/second is flagged ``hot`` --
     counted in ``shard_health.hot_shards`` and journalled as a
     ``shard_health.hot`` event on the transition into hotness (an
     imbalance that persists across polls logs once, not per poll).
@@ -295,8 +300,8 @@ class HotShardDetector:
             skew = rate / mean_rate if mean_rate else 0.0
             row["skew"] = round(skew, 3)
             if (len(rates) > 1
-                    and skew >= self.router.config.hot_shard_skew
-                    and rate >= self.router.config.hot_shard_min_rate):
+                    and skew >= HOT_SHARD_SKEW
+                    and rate >= HOT_SHARD_MIN_RATE):
                 row["hot"] = True
                 hot_now.add(shard)
                 self._m_hot.inc()

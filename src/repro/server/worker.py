@@ -9,31 +9,40 @@ ordinary frame protocol, so a shard is just a MOOD server that happens
 to allocate pages from its own range.
 
 Two backends implement the same small surface (``shard_index``,
-``address``, ``start``, ``stop``):
+``start``, ``stop``, ``alive``, and ``connect``, which returns the link
+the router sends the shard's frames over):
 
 * :class:`ProcessShard` runs the engine in a ``multiprocessing`` worker
   (spawn context) -- the scale-out deployment.  Each worker binds port 0
   and reports the OS-assigned address back through a pipe.
-* :class:`LocalShard` runs the engine in-process.  Because the simulated
-  disk and WAL live in memory, only this backend can *simulate* a shard
-  crash and restart with its data intact (``crash()`` / ``restart()``),
-  so the 2PC recovery tests use it; killing a ProcessShard loses the
-  shard's universe along with the process.
+* :class:`LocalShard` runs the engine in-process; its links are calls.
+  Because the simulated disk and WAL live in memory, only this backend
+  can *simulate* a shard crash and restart with its data intact
+  (``crash()`` / ``restart()``), so the 2PC recovery tests use it;
+  killing a ProcessShard loses the shard's universe along with the
+  process.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import socket
 import threading
 
-from repro.core.errors import MoodError, ShardUnavailableError
+from repro.core.errors import MoodError, ProtocolError, ShardUnavailableError
 from repro.core.database import MoodDatabase
+from repro.server.protocol import (
+    answer_frame, decode_frame, encode_frame, recv_frame_bytes,
+    send_frame_bytes,
+)
 from repro.server.server import MoodServer, ServerConfig
 from repro.storage.oid import shard_page_base
 
 #: Seconds to wait for a worker process to come up / shut down.
 WORKER_START_TIMEOUT = 60.0
 WORKER_STOP_TIMEOUT = 15.0
+#: Seconds one router->shard call may take over a socket link.
+LINK_TIMEOUT = 60.0
 
 
 def _build_database(shard_index: int, shard_count: int, options: dict) -> MoodDatabase:
@@ -70,8 +79,8 @@ def worker_main(
 
     Builds the shard's engine, serves on an OS-assigned port, reports
     ``("ready", host, port)`` down the pipe, then blocks on the pipe for
-    a ``"stop"`` command.  A hard kill is delivered by the parent as
-    ``Process.terminate`` -- no cleanup runs, which is the point.
+    a ``"stop"`` command, and exits once stopped.  A hard kill is
+    delivered by the parent as ``Process.terminate`` -- no cleanup runs.
     """
     try:
         db = _build_database(shard_index, shard_count, options)
@@ -81,12 +90,47 @@ def worker_main(
         conn.send(("error", repr(exc)))
         return
     conn.send(("ready", host, port))
-    while True:
-        message = conn.recv()
-        if message == "stop":
-            server.stop()
-            conn.send(("stopped",))
-            return
+    conn.recv()  # the parent's one command: "stop"
+    server.stop()
+
+
+class _ShardLink:
+    """One socket to one shard worker.  Any transport failure surfaces
+    as :class:`ShardUnavailableError`; the owner must then discard the
+    link (its stream may be desynchronised)."""
+
+    def __init__(self, shard_index: int, address: tuple[str, int]):
+        self.shard_index = shard_index
+        try:
+            self._sock = socket.create_connection(address,
+                                                  timeout=LINK_TIMEOUT)
+        except OSError as exc:
+            raise ShardUnavailableError(
+                f"shard {shard_index} unreachable at {address}: {exc}"
+            ) from None
+
+    def call(self, request):
+        """Send one frame -- a dict, or already-encoded bytes -- and return
+        the response in the same form.  Bytes in, bytes out is the relay
+        hot path: no JSON decode/re-encode at the router."""
+        raw = isinstance(request, bytes)
+        try:
+            send_frame_bytes(self._sock,
+                             request if raw else encode_frame(request))
+            response = recv_frame_bytes(self._sock)
+        except (OSError, ProtocolError) as exc:
+            raise ShardUnavailableError(
+                f"shard {self.shard_index} failed mid-call: {exc}"
+            ) from None
+        if response is None:
+            raise ShardUnavailableError(f"shard {self.shard_index} hung up")
+        return response if raw else decode_frame(response)
+
+    def close(self) -> None:
+        try:
+            self._sock.close()
+        except OSError:
+            pass
 
 
 class ProcessShard:
@@ -135,16 +179,10 @@ class ProcessShard:
             return
         try:
             self._conn.send("stop")
-            if self._conn.poll(WORKER_STOP_TIMEOUT):
-                self._conn.recv()
-        except (BrokenPipeError, EOFError, OSError):
-            pass
+        except OSError:
+            pass  # the worker is already gone
         self._process.join(timeout=WORKER_STOP_TIMEOUT)
-        if self._process.is_alive():
-            self._process.terminate()
-            self._process.join(timeout=5)
-        self._process = None
-        self.address = None
+        self.kill()  # a worker that did not exit in time
 
     def kill(self) -> None:
         """Hard kill: the worker gets no chance to clean up."""
@@ -159,13 +197,55 @@ class ProcessShard:
     def alive(self) -> bool:
         return self._process is not None and self._process.is_alive()
 
+    def connect(self) -> _ShardLink:
+        if self.address is None:
+            raise ShardUnavailableError(f"shard {self.shard_index} is down")
+        return _ShardLink(self.shard_index, self.address)
+
+
+class _CallLink:
+    """A link to an in-process shard that is a call: the shard's server
+    answers each encoded frame in the caller's thread.  The link belongs
+    to the server live at :meth:`LocalShard.connect`; once the shard
+    crashes or stops, every call raises :class:`ShardUnavailableError`."""
+
+    def __init__(self, shard: "LocalShard"):
+        self._shard = shard
+        self._server = shard.server
+        self._check_live()
+        self._session = self._server.open_session()
+
+    def _check_live(self) -> None:
+        if self._server is None or self._shard.server is not self._server:
+            raise ShardUnavailableError(
+                f"shard {self._shard.shard_index} is down"
+            )
+
+    def call(self, request):
+        raw = isinstance(request, bytes)
+        payload = request if raw else encode_frame(request)
+        self._check_live()
+        try:
+            response, _ = answer_frame(self._server, self._session, payload)
+        finally:
+            # A crash mid-call loses the answer, whatever the dying
+            # engine raised or returned: the caller sees the shard gone.
+            self._check_live()
+        return response if raw else decode_frame(response)
+
+    def close(self) -> None:
+        # Only on the live server: a stale session must not roll back
+        # work on the restarted engine.
+        if self._shard.server is self._server:
+            self._server.close_session(self._session)
+
 
 class LocalShard:
     """One shard engine in-process, with crash/restart simulation.
 
     The engine's simulated disk and WAL are ordinary objects in this
     process, so :meth:`crash` can lose exactly the volatile state (buffer
-    pool, lock table, live transactions, the listener) while the platters
+    pool, lock table, live transactions, the server) while the platters
     and the log survive for :meth:`restart` -- the only way to exercise a
     shard's restart recovery, in-doubt resurrection included.
     """
@@ -177,10 +257,9 @@ class LocalShard:
         self.options = dict(options or {})
         self.db: MoodDatabase | None = None
         self.server: MoodServer | None = None
-        self.address: tuple[str, int] | None = None
         self._mutex = threading.Lock()
 
-    def start(self) -> tuple[str, int]:
+    def start(self) -> None:
         with self._mutex:
             if self.server is not None:
                 raise MoodError(f"shard {self.shard_index} already started")
@@ -189,36 +268,33 @@ class LocalShard:
                     self.shard_index, self.shard_count, self.options
                 )
             self.server = MoodServer(self.db, _server_config(self.options))
-            self.address = self.server.start()
-            return self.address
 
     def stop(self) -> None:
         with self._mutex:
             if self.server is not None:
                 self.server.stop()
                 self.server = None
-                self.address = None
 
     def crash(self) -> None:
-        """Simulate a worker crash: the listener dies mid-flight and all
-        volatile engine state is lost; log and platters survive."""
+        """Simulate a worker crash: the server is dropped mid-flight and
+        all volatile engine state is lost; log and platters survive."""
         with self._mutex:
-            if self.server is not None:
-                self.server.simulate_crash()
-                self.server = None
-                self.address = None
+            # A process kill takes the reclusterer thread with it.
+            self.db.stop_reclusterer()
+            self.server = None
             self.db.kernel.storage.crash()
 
-    def restart(self) -> tuple[str, int]:
+    def restart(self) -> None:
         """Restart recovery over the surviving log, then serve again."""
         with self._mutex:
             if self.server is not None:
                 raise MoodError(f"shard {self.shard_index} is running")
             self.db.kernel.storage.restart()
             self.server = MoodServer(self.db, _server_config(self.options))
-            self.address = self.server.start()
-            return self.address
 
     @property
     def alive(self) -> bool:
         return self.server is not None
+
+    def connect(self) -> _CallLink:
+        return _CallLink(self)

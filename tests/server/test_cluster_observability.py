@@ -207,24 +207,27 @@ def test_sys_txns_reports_active_and_in_doubt(sharded):
 
     # Park a branch in doubt directly on shard 0 (prepare a vote the
     # router knows nothing about) -- SYS$TXNS must surface it.
-    whost, wport = backends[0].address
-    with MoodClient(whost, wport) as worker:
-        worker._call("BEGIN")
-        worker.execute("UPDATE Item i SET val = 2 WHERE i.id = 0")
-        worker._call("PREPARE_TXN", gid="orphan-gid-1")
+    worker = backends[0].connect()
+    try:
+        worker.call({"op": "BEGIN"})
+        worker.call({"op": "EXECUTE",
+                     "sql": "UPDATE Item i SET val = 2 WHERE i.id = 0"})
+        worker.call({"op": "PREPARE_TXN", "gid": "orphan-gid-1"})
         with MoodClient(host, port) as observer:
             in_doubt = observer.query(
                 "SELECT t.gid, t.shard, t.state FROM SYS$TXNS t "
                 "WHERE t.state = 'in_doubt'"
             ).rows
             assert ("orphan-gid-1", 0, "in_doubt") in in_doubt
-        worker._call("ROLLBACK_PREPARED", gid="orphan-gid-1")
+        worker.call({"op": "ROLLBACK_PREPARED", "gid": "orphan-gid-1"})
+    finally:
+        worker.close()
 
 
 # -- hot-shard detection ------------------------------------------------------
 
 def test_shard_health_flags_hot_shard():
-    router, backends = _router(2, hot_shard_skew=1.3, hot_shard_min_rate=0.0)
+    router, backends = _router(2)
     host, port = router.address
     with MoodClient(host, port) as client:
         client.execute("CREATE CLASS Item TUPLE (id Integer, val Integer)")
