@@ -61,10 +61,6 @@ class Catalog:
         self.hierarchy = ClassHierarchy()
         self._named: dict[str, OID] = {}
         self._indexes: dict[str, IndexInfo] = {}
-        # Virtual SYS$ monitor views: declared schemas only -- rows are
-        # synthesised live by repro.obs.views, never stored, so these do
-        # not persist and carry no extent files.
-        self._system_views: dict[str, list[tuple[str, str]]] = {}
         # Row OIDs so updates/deletes can address the stored records.
         self._type_rows: dict[str, OID] = {}
         self._attr_rows: dict[tuple[str, str], OID] = {}
@@ -399,30 +395,6 @@ class Catalog:
 
     def type_name(self, type_id: int) -> str:
         return self.registry.type_name(type_id)
-
-    # -- system views (virtual monitor classes) ---------------------------------
-
-    def register_system_view(
-        self, name: str, columns: list[tuple[str, str]]
-    ) -> None:
-        """Declare a read-only virtual class (``SYS$...``): attribute
-        names and MOOD type texts, for the schema browser and MoodView.
-        Types are validated eagerly like any class definition's."""
-        for _, type_text in columns:
-            parse_type(type_text)
-        self._system_views[name.upper()] = list(columns)
-
-    def has_system_view(self, name: str) -> bool:
-        return name.upper() in self._system_views
-
-    def system_view_names(self) -> list[str]:
-        return sorted(self._system_views)
-
-    def system_view_columns(self, name: str) -> list[tuple[str, str]]:
-        try:
-            return list(self._system_views[name.upper()])
-        except KeyError:
-            raise CatalogError(f"no system view {name!r}") from None
 
     # -- extents ----------------------------------------------------------------
 

@@ -144,9 +144,6 @@ class MoodDatabase:
     def io_stats(self) -> IOStats:
         return self.kernel.storage.io_stats
 
-    def reset_io(self) -> None:
-        self.kernel.storage.io_stats.reset()
-
     def io_probe(self):
         """Snapshot for measuring a single operation's I/O."""
         return self.kernel.storage.io_snapshot()

@@ -109,13 +109,6 @@ class TransactionError(MoodError):
     errno = 1300
 
 
-class RecoveryError(MoodError):
-    """Restart recovery could not be completed."""
-
-    code = "RECOVERY"
-    errno = 1400
-
-
 # --------------------------------------------------------------------------
 # Data model / type system
 # --------------------------------------------------------------------------

@@ -188,17 +188,17 @@ class MoodKernel:
         #: in one place, instead of scattering cache resets around.
         self._handlers = {
             SelectQuery: (self._handle_select, None),
-            ExplainStmt: (self._handle_explain, None),
-            CreateClass: (self._handle_create_class, "CREATE CLASS"),
+            ExplainStmt: (self._execute_explain, None),
+            CreateClass: (self._execute_create_class, "CREATE CLASS"),
             DropClass: (self._handle_drop_class, "DROP CLASS"),
-            AlterClass: (self._handle_alter, "ALTER CLASS"),
+            AlterClass: (self._execute_alter, "ALTER CLASS"),
             CreateIndex: (self._handle_create_index, "CREATE INDEX"),
             DropIndex: (self._handle_drop_index, "DROP INDEX"),
-            CreateMethod: (self._handle_create_method, "CREATE METHOD"),
+            CreateMethod: (self._execute_create_method, "CREATE METHOD"),
             DropMethod: (self._handle_drop_method, "DROP METHOD"),
-            NewObject: (self._handle_new, None),
-            DeleteStmt: (self._handle_delete, None),
-            UpdateStmt: (self._handle_update, None),
+            NewObject: (self._execute_new, None),
+            DeleteStmt: (self._execute_delete, None),
+            UpdateStmt: (self._execute_update, None),
             AnalyzeStmt: (self._handle_analyze, "ANALYZE"),
             PrepareStmt: (self._handle_prepare, None),
             ExecuteStmt: (self._handle_execute_prepared, None),
@@ -207,8 +207,22 @@ class MoodKernel:
         #: Telemetry rings the sessions feed and the SYS$ views read.
         self.statement_log = StatementLog()
         self.slow_log = SlowQueryLog()
-        self.system_views = SystemViewRegistry(self.catalog)
+        self.system_views = SystemViewRegistry()
         register_kernel_views(self)
+
+    def record_statement(self, trace) -> None:
+        """File one finished statement's trace: ring it, offer it to the
+        slow log, and journal ``statement.slow`` when the slow log kept
+        it."""
+        self.statement_log.record(trace)
+        if self.slow_log.consider(trace):
+            self.storage.events.emit(
+                "statement.slow",
+                trace_id=trace.trace_id,
+                session=trace.session_id,
+                statement_kind=trace.kind,
+                total_ms=round(trace.total_ms, 3),
+            )
 
     # -- statistics and planning -------------------------------------------------
 
@@ -340,19 +354,10 @@ class MoodKernel:
             return self._execute_system_select(statement, spans=spans)
         return self._execute_select(statement, spans=spans)
 
-    def _handle_explain(self, statement: ExplainStmt, spans):
-        return self._execute_explain(statement)
-
-    def _handle_create_class(self, statement: CreateClass, spans):
-        return self._execute_create_class(statement)
-
     def _handle_drop_class(self, statement: DropClass, spans):
         self.catalog.drop_class(statement.name)
         self.objects.rebuild_page_map()
         return StatementResult("DROP CLASS", statement.name)
-
-    def _handle_alter(self, statement: AlterClass, spans):
-        return self._execute_alter(statement)
 
     def _handle_create_index(self, statement: CreateIndex, spans):
         self.indexes.create_index(
@@ -365,23 +370,11 @@ class MoodKernel:
         self.indexes.drop_index(statement.name)
         return StatementResult("DROP INDEX", statement.name)
 
-    def _handle_create_method(self, statement: CreateMethod, spans):
-        return self._execute_create_method(statement)
-
     def _handle_drop_method(self, statement: DropMethod, spans):
         types = ",".join(statement.parameter_types)
         signature = f"{statement.class_name}::{statement.name}({types})"
         self.functions.delete_function(signature)
         return StatementResult("DROP METHOD", signature)
-
-    def _handle_new(self, statement: NewObject, spans):
-        return self._execute_new(statement)
-
-    def _handle_delete(self, statement: DeleteStmt, spans):
-        return self._execute_delete(statement)
-
-    def _handle_update(self, statement: UpdateStmt, spans):
-        return self._execute_update(statement)
 
     def _handle_analyze(self, statement: AnalyzeStmt, spans):
         self.analyze()
@@ -591,7 +584,7 @@ class MoodKernel:
 
     # -- EXPLAIN [ANALYZE] --------------------------------------------------
 
-    def _execute_explain(self, statement: ExplainStmt) -> ExplainResult:
+    def _execute_explain(self, statement: ExplainStmt, spans) -> ExplainResult:
         if any(self.system_views.has(r.class_name)
                for r in statement.query.ranges):
             raise MoodSqlError(
@@ -687,7 +680,9 @@ class MoodKernel:
 
     # -- DDL ---------------------------------------------------------------------
 
-    def _execute_create_class(self, statement: CreateClass) -> StatementResult:
+    def _execute_create_class(
+        self, statement: CreateClass, spans
+    ) -> StatementResult:
         methods = [
             MoodsFunction(
                 owner=statement.name,
@@ -713,7 +708,7 @@ class MoodKernel:
             header=header,
         )
 
-    def _execute_alter(self, statement: AlterClass) -> StatementResult:
+    def _execute_alter(self, statement: AlterClass, spans) -> StatementResult:
         if statement.action == "add":
             self.catalog.add_attribute(statement.name, statement.attribute,
                                        statement.type_text)
@@ -749,7 +744,9 @@ class MoodKernel:
             # cache honest.
             self.objects.invalidate_cache(oid)
 
-    def _execute_create_method(self, statement: CreateMethod) -> StatementResult:
+    def _execute_create_method(
+        self, statement: CreateMethod, spans
+    ) -> StatementResult:
         function = MoodsFunction(
             owner=statement.class_name,
             name=statement.decl.name,
@@ -768,7 +765,7 @@ class MoodKernel:
 
     # -- DML ---------------------------------------------------------------------
 
-    def _execute_new(self, statement: NewObject) -> StatementResult:
+    def _execute_new(self, statement: NewObject, spans) -> StatementResult:
         attributes = self.catalog.hierarchy.all_attributes(statement.class_name)
         if len(statement.values) > len(attributes):
             raise ExecutionError(
@@ -797,13 +794,13 @@ class MoodKernel:
             rows = [r for r in rows if self.evaluator.predicate(where, r)]
         return rows
 
-    def _execute_delete(self, statement: DeleteStmt) -> StatementResult:
+    def _execute_delete(self, statement: DeleteStmt, spans) -> StatementResult:
         rows = self._matching_rows(statement.range_var, statement.where)
         for row in rows:
             self.objects.delete_object(row[statement.range_var.var].oid)
         return StatementResult("DELETE", count=len(rows))
 
-    def _execute_update(self, statement: UpdateStmt) -> StatementResult:
+    def _execute_update(self, statement: UpdateStmt, spans) -> StatementResult:
         rows = self._matching_rows(statement.range_var, statement.where)
         for row in rows:
             obj = row[statement.range_var.var]

@@ -18,21 +18,9 @@ from repro.storage.btree import BTreeParams
 from repro.storage.disk import DiskParams
 
 
-def seqcost(params: DiskParams, pages: float) -> float:
-    """SEQCOST(b) = s + r + b * ebt."""
-    if pages <= 0:
-        return 0.0
-    if params.esm_sequential_is_random:
-        return rndcost(params, pages)
-    return params.s + params.r + pages * params.ebt
-
-
-def rndcost(params: DiskParams, pages: float) -> float:
-    """RNDCOST(b) = b * (s + r + btt).  Fractional b is the expected-page
-    count mid-derivation and is costed linearly."""
-    if pages <= 0:
-        return 0.0
-    return pages * (params.s + params.r + params.btt)
+#: SEQCOST(b) and RNDCOST(b) are the disk's own formulas (one copy).
+seqcost = DiskParams.seq_cost
+rndcost = DiskParams.rnd_cost
 
 
 def indcost(params: DiskParams, index: BTreeParams, k: float) -> float:

@@ -5,8 +5,8 @@ Secondary B+-tree/hash indexes (catalog kind ``btree``/``hash``) cover the
 Automobile and JapaneseAuto instances, so IS-A queries can use it.
 
 Binary join indexes (catalog kind ``join``) precompute the pairs of one
-reference attribute (Section 6.3); they are B+-trees in both directions so
-the optimizer's ``bjc = INDCOST(k)`` model applies to either side.
+reference attribute (Section 6.3) in a forward B+-tree, referencing OID ->
+referenced OID, so the optimizer's ``bjc = INDCOST(k)`` model applies.
 """
 
 from __future__ import annotations
@@ -30,16 +30,12 @@ class BinaryJoinIndex:
     class_name: str
     attribute: str
     forward: BPlusTree   # left OID -> right OID
-    backward: BPlusTree  # right OID -> left OID
 
     def pairs(self) -> list[tuple[OID, OID]]:
         return [(left, right) for left, right in self.forward.items()]
 
     def rights_of(self, left: OID) -> list[OID]:
         return self.forward.search(left)
-
-    def lefts_of(self, right: OID) -> list[OID]:
-        return self.backward.search(right)
 
     def params(self) -> BTreeParams:
         return self.forward.params()
@@ -120,13 +116,11 @@ class IndexManager:
             class_name=class_name,
             attribute=attribute,
             forward=self.storage.create_btree_index(f"{name}__fwd"),
-            backward=self.storage.create_btree_index(f"{name}__bwd"),
         )
         self.join_indexes[name] = join_index
         for obj in self.objects.iter_extent(class_name, deep=True):
             for target in _ref_oids(obj.state.get(attribute)):
                 join_index.forward.insert(obj.oid, target)
-                join_index.backward.insert(target, obj.oid)
         return info
 
     def create_path_index(self, name: str, class_name: str,
@@ -191,7 +185,7 @@ class IndexManager:
         """Rewrite every index entry naming a relocated OID.
 
         Relocation re-identifies objects (old OID -> new OID); secondary
-        indexes hold OIDs as values, join indexes on both sides, path
+        indexes hold OIDs as values, join indexes as keys and values, path
         indexes as head values -- and a secondary index over a reference
         attribute can even hold OIDs as keys.  Returns the number of
         entries rewritten.
@@ -201,9 +195,9 @@ class IndexManager:
         rewritten = 0
         for info in self.catalog.all_indexes():
             if info.kind == "join":
-                join_index = self.join_indexes[info.name]
-                rewritten += _remap_entries(join_index.forward, mapping)
-                rewritten += _remap_entries(join_index.backward, mapping)
+                rewritten += _remap_entries(
+                    self.join_indexes[info.name].forward, mapping
+                )
             elif info.kind == "path":
                 rewritten += _remap_entries(
                     self.path_indexes[info.name].tree, mapping
@@ -228,7 +222,6 @@ class IndexManager:
         self.catalog.drop_index(name)
         if info.kind == "join":
             self.storage.drop_index(f"{name}__fwd")
-            self.storage.drop_index(f"{name}__bwd")
             del self.join_indexes[name]
         elif info.kind == "path":
             self.storage.drop_index(name)
@@ -252,16 +245,6 @@ class IndexManager:
             return self.storage.btree_index(name).params()
         if info.kind == "join":
             return self.join_indexes[name].params()
-        return None
-
-    def path_index_for(self, class_name: str,
-                       path_attrs: tuple[str, ...]) -> PathIndex | None:
-        for path_index in self.path_indexes.values():
-            if path_index.path_attrs != path_attrs:
-                continue
-            if self.catalog.hierarchy.is_subclass(class_name,
-                                                  path_index.class_name):
-                return path_index
         return None
 
     def path_index_params(self) -> dict[tuple[str, tuple[str, ...]],
@@ -349,11 +332,8 @@ class IndexManager:
             removed = old_targets - new_targets
         for target in removed:
             join_index.forward.delete(obj.oid, target)
-            join_index.backward.delete(target, obj.oid)
         for target in added:
             join_index.forward.insert(obj.oid, target)
-            join_index.backward.insert(target, obj.oid)
-
 
     def _maintain_path(self, info: IndexInfo, event: str,
                        obj: MoodObject, old_state) -> None:

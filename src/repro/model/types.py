@@ -381,6 +381,3 @@ class TypeRegistry:
 
     def type_by_name(self, type_name: str) -> MoodType:
         return self.type_by_id(self.type_id(type_name))
-
-    def known_names(self) -> list[str]:
-        return sorted(self._by_name)

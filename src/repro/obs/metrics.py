@@ -104,35 +104,11 @@ class Histogram:
 
     def percentile(self, fraction: float) -> float:
         """Estimated value at ``fraction`` (0.0-1.0) of the distribution."""
-        with self._mutex:
-            if not self.count:
-                return 0.0
-            target = fraction * self.count
-            cumulative = 0
-            for index, bucket_count in enumerate(self.bucket_counts):
-                if not bucket_count:
-                    continue
-                if cumulative + bucket_count >= target:
-                    lower = self.bounds[index - 1] if index else 0.0
-                    upper = (
-                        self.bounds[index]
-                        if index < len(self.bounds) else self.max
-                    )
-                    fill = (target - cumulative) / bucket_count
-                    estimate = lower + (upper - lower) * fill
-                    return max(self.min, min(self.max, estimate))
-                cumulative += bucket_count
-            return self.max
+        return dump_percentile(self.dump(), fraction)
 
     def percentiles(self) -> dict[str, float]:
         """The standard reporting set: p50/p95/p99 plus count and mean."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.percentile(0.50),
-            "p95": self.percentile(0.95),
-            "p99": self.percentile(0.99),
-        }
+        return summarize_dump(self.dump())
 
     def dump(self) -> dict:
         """A JSON-safe, *mergeable* form of this histogram: the streaming
@@ -219,7 +195,9 @@ def merge_histogram_dumps(dumps: list[dict]) -> dict | None:
 
 
 def dump_percentile(dump: dict, fraction: float) -> float:
-    """:meth:`Histogram.percentile` over a dump (same interpolation)."""
+    """Estimated value at ``fraction`` of a :meth:`Histogram.dump`:
+    linear within the containing bucket, clamped to the observed
+    min/max."""
     count = dump.get("count", 0)
     if not count:
         return 0.0
@@ -242,7 +220,8 @@ def dump_percentile(dump: dict, fraction: float) -> float:
 
 
 def summarize_dump(dump: dict) -> dict[str, float]:
-    """The :meth:`Histogram.percentiles` reporting set over a dump."""
+    """The standard reporting set over a dump: p50/p95/p99 plus count
+    and mean."""
     count = dump.get("count", 0)
     return {
         "count": count,

@@ -3,9 +3,9 @@
 The paper's MoodView exists to make the DBMS legible; these views make the
 *server* legible through the language itself.  Each view is a read-only
 virtual class (``SYS$SESSIONS``, ``SYS$STATEMENTS``, ``SYS$LOCKS``,
-``SYS$COUNTERS``, ``SYS$SLOW_QUERIES``, ``SYS$EVENTS``) registered in the
-catalog with a declared schema and fed *live* by a supplier callable --
-no storage, no extent, no locks on user data.  Ordinary MOODSQL works::
+``SYS$COUNTERS``, ``SYS$SLOW_QUERIES``, ``SYS$EVENTS``) has a declared
+schema and is fed *live* by a supplier callable -- no catalog entry, no
+storage, no extent, no locks on user data.  Ordinary MOODSQL works::
 
     SELECT s.trace_id, s.lock_wait_ms FROM SYS$STATEMENTS s
     WHERE s.total_ms > 100
@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.catalog.typeparse import parse_type
 from repro.core.errors import MoodSqlError
 
 
@@ -37,10 +38,9 @@ class SystemView:
 
 
 class SystemViewRegistry:
-    """Name -> :class:`SystemView`, with catalog schema registration."""
+    """Name -> :class:`SystemView`."""
 
-    def __init__(self, catalog=None):
-        self.catalog = catalog
+    def __init__(self):
         self._views: dict[str, SystemView] = {}
 
     def register(
@@ -50,11 +50,13 @@ class SystemViewRegistry:
         supplier: Callable[[], list[dict]],
         description: str = "",
     ) -> SystemView:
+        """Declare a view; its column types are validated eagerly, like
+        any class definition's."""
+        for _, type_text in columns:
+            parse_type(type_text)
         canonical = name.upper()
         view = SystemView(canonical, tuple(columns), supplier, description)
         self._views[canonical] = view
-        if self.catalog is not None:
-            self.catalog.register_system_view(canonical, list(columns))
         return view
 
     def has(self, name: str) -> bool:
@@ -191,9 +193,7 @@ def register_kernel_views(kernel) -> None:
 
 
 #: Shared schema of SYS$STATEMENTS / SYS$SLOW_QUERIES rows
-#: (:meth:`repro.obs.trace.StatementTrace.row`).  Public alias
-#: ``TRACE_COLUMNS`` below: the router's federated cluster views prepend
-#: a ``shard`` column to exactly this schema.
+#: (:meth:`repro.obs.trace.StatementTrace.row`).
 _TRACE_COLUMNS: tuple[tuple[str, str], ...] = (
     ("trace_id", "String"),
     ("session_id", "Integer"),
@@ -211,8 +211,6 @@ _TRACE_COLUMNS: tuple[tuple[str, str], ...] = (
     ("io_ms", "Float"),
     ("rows", "Integer"),
 )
-
-TRACE_COLUMNS = _TRACE_COLUMNS
 
 #: Schema of SYS$CLUSTERING rows (:meth:`repro.cluster.recluster.
 #: Reclusterer.status`); the router's federated view prepends ``shard``.

@@ -97,9 +97,6 @@ class SelectionDictionaries:
     path: list[PathSelEntry] = field(default_factory=list)
     other: list[OtherSelEntry] = field(default_factory=list)
 
-    def imm_for(self, range_var: str) -> list[ImmSelEntry]:
-        return [e for e in self.imm if e.range_var == range_var]
-
     def path_for(self, range_var: str) -> list[PathSelEntry]:
         return [e for e in self.path if e.range_var == range_var]
 

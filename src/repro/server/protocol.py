@@ -350,8 +350,6 @@ class FrameListener(socketserver.ThreadingTCPServer):
     def __init__(self, owner, address: tuple[str, int], name: str):
         super().__init__(address, _FrameHandler)
         self.owner = owner
-        self._connections: set = set()
-        self._mutex = threading.Lock()
         self._thread = threading.Thread(
             target=self.serve_forever, kwargs={"poll_interval": 0.05},
             name=name, daemon=True,
@@ -363,27 +361,15 @@ class FrameListener(socketserver.ThreadingTCPServer):
         host, port = self.server_address[:2]
         return host, port
 
-    def close(self, sever: bool = False) -> None:
-        """Stop accepting and release the port.  With ``sever``, also cut
-        every open connection the way a process kill would; otherwise
-        connection threads run on until their clients hang up."""
+    def close(self) -> None:
+        """Stop accepting and release the port.  Connection threads run
+        on until their clients hang up."""
         self.shutdown()
         self.server_close()
-        if sever:
-            with self._mutex:
-                socks = list(self._connections)
-            for sock in socks:
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                sock.close()
         self._thread.join(timeout=5)
 
     def serve(self, sock: socket.socket) -> None:
         """One connection, from its session to its hang-up."""
-        with self._mutex:
-            self._connections.add(sock)
         try:
             try:
                 session = self.owner.open_session()
@@ -395,10 +381,7 @@ class FrameListener(socketserver.ThreadingTCPServer):
             finally:
                 self.owner.close_session(session)
         except OSError:
-            pass  # the client vanished (or the connection was severed)
-        finally:
-            with self._mutex:
-                self._connections.discard(sock)
+            pass  # the client vanished
 
     def _frame_loop(self, sock: socket.socket, session) -> None:
         while True:

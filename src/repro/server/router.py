@@ -80,14 +80,12 @@ from repro.sql.ast import (
     CreateClass,
     CreateIndex,
     CreateMethod,
-    DeallocateStmt,
     DeleteStmt,
     DropClass,
     DropIndex,
     DropMethod,
     ExplainStmt,
     NewObject,
-    PrepareStmt,
     SelectQuery,
     UpdateStmt,
 )
@@ -245,7 +243,6 @@ class ShardedServer:
         self._round_robin = 0
         self._listener: FrameListener | None = None
         self._stopped = False
-        self._crashed = False
         #: Report of the in-doubt resolution run by the last start().
         self.last_recovery = {"redriven": 0, "swept": 0}
         # Installed last: re-registers the view database's SYS$ views as
@@ -282,19 +279,6 @@ class ShardedServer:
         if self._owns_backends:
             for backend in self.backends:
                 backend.stop()
-
-    def simulate_crash(self) -> None:
-        """Die without grace: every client connection and router->shard
-        link is severed, the listener vanishes, and no rollback is sent.
-        The shards keep running -- active branches die with their
-        connections (each worker rolls them back), while prepared
-        branches survive in doubt until :meth:`recover` on a restarted
-        router resolves them."""
-        if self._listener is not None and not self._stopped:
-            self._stopped = True
-            self._crashed = True
-            self._listener.close(sever=True)
-        _close_links(self._admin_links)
 
     def __enter__(self) -> "ShardedServer":
         self.start()
@@ -410,9 +394,7 @@ class ShardedServer:
     def close_session(self, session: RouterSession) -> None:
         with self._mutex:
             self._sessions.pop(session.session_id, None)
-        if session.in_txn and not self._crashed:
-            # A crashed coordinator sends no rollbacks; its shard links
-            # just die (workers abort the active branches).
+        if session.in_txn:
             for shard in list(session.participants):
                 try:
                     self._call_shard(session, shard, {"op": "ROLLBACK"})
@@ -498,8 +480,7 @@ class ShardedServer:
             spans=list(session.pending_spans),
         )
         session.pending_spans = []
-        self.statement_log.record(trace)
-        self.slow_log.consider(trace)
+        self._viewdb.kernel.record_statement(trace)
 
     def _dispatch(self, session: RouterSession, op: str, request: dict,
                   raw: bytes | None):

@@ -89,6 +89,14 @@ CATALOG_RESOURCE = ("catalog",)
 #: Default per-statement budget for the waiting phases, seconds.
 DEFAULT_STATEMENT_TIMEOUT = 30.0
 
+#: SYS$SESSIONS schema (:meth:`SessionManager._session_rows`); the
+#: router's federated view prepends a ``shard`` column to it.
+SESSION_COLUMNS: tuple[tuple[str, str], ...] = (
+    ("session_id", "Integer"), ("state", "String"), ("txn_id", "Integer"),
+    ("statements", "Integer"), ("admitted", "Boolean"),
+    ("last_trace_id", "String"),
+)
+
 _DDL_STATEMENTS = (
     CreateClass, DropClass, AlterClass,
     CreateIndex, DropIndex, CreateMethod, DropMethod,
@@ -186,9 +194,7 @@ class SessionManager:
         self._m_prepares = component.counter("txn_prepares")
         self.kernel.system_views.register(
             "SYS$SESSIONS",
-            [("session_id", "Integer"), ("state", "String"),
-             ("txn_id", "Integer"), ("statements", "Integer"),
-             ("admitted", "Boolean"), ("last_trace_id", "String")],
+            SESSION_COLUMNS,
             self._session_rows,
             "every open session: transaction state, statement count, "
             "admission slot, last trace id",
@@ -555,15 +561,7 @@ class SessionManager:
         finally:
             trace.total_ms = (time.monotonic() - started) * 1e3
             self._m_statement_ms.observe(trace.total_ms)
-            self.kernel.statement_log.record(trace)
-            if self.kernel.slow_log.consider(trace):
-                self.kernel.storage.events.emit(
-                    "statement.slow",
-                    trace_id=trace.trace_id,
-                    session=trace.session_id,
-                    statement_kind=trace.kind,
-                    total_ms=round(trace.total_ms, 3),
-                )
+            self.kernel.record_statement(trace)
 
     def _execute_traced(
         self,

@@ -27,7 +27,7 @@ import time
 
 from repro.core.errors import ShardUnavailableError
 from repro.obs.metrics import summarize_dump
-from repro.obs.views import TRACE_COLUMNS
+from repro.server.session import SESSION_COLUMNS
 
 #: Shard index the router's own telemetry rows carry in federated views.
 ROUTER_SHARD = -1
@@ -47,14 +47,6 @@ FEDERATED_VIEWS = (
 #: cluster health) -- never forwarded to a shard, even under a hint.
 ROUTER_ONLY_VIEWS = frozenset(
     {"SYS$SHARDS", "SYS$TXNS", "SYS$SHARD_HEALTH"}
-)
-
-#: SYS$SESSIONS schema (the router's view database has no session
-#: manager of its own to copy it from).
-_SESSION_COLUMNS = (
-    ("session_id", "Integer"), ("state", "String"), ("txn_id", "Integer"),
-    ("statements", "Integer"), ("admitted", "Boolean"),
-    ("last_trace_id", "String"),
 )
 
 #: Histogram families whose cluster-wide merge is worth surfacing in the
@@ -138,7 +130,7 @@ class ClusterTelemetry:
         }
         for name in FEDERATED_VIEWS:
             if name == "SYS$SESSIONS":
-                columns = _SESSION_COLUMNS
+                columns = SESSION_COLUMNS
                 description = ("every session on the router and each "
                                "shard worker")
             else:

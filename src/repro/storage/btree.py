@@ -102,14 +102,10 @@ class BTreeParams:
 class BTreeStats:
     node_reads: int = 0
     splits: int = 0
-    merges: int = 0
-    borrows: int = 0
 
     def reset(self) -> None:
         self.node_reads = 0
         self.splits = 0
-        self.merges = 0
-        self.borrows = 0
 
 
 class BPlusTree:
@@ -353,7 +349,6 @@ class BPlusTree:
     def _borrow_from_left(
         self, parent: _Node, index: int, left: _Node, child: _Node
     ) -> None:
-        self.stats.borrows += 1
         if child.leaf:
             child.keys.insert(0, left.keys.pop())
             parent.keys[index - 1] = child.keys[0]
@@ -365,7 +360,6 @@ class BPlusTree:
     def _borrow_from_right(
         self, parent: _Node, index: int, child: _Node, right: _Node
     ) -> None:
-        self.stats.borrows += 1
         if child.leaf:
             child.keys.append(right.keys.pop(0))
             parent.keys[index] = right.keys[0]
@@ -375,7 +369,6 @@ class BPlusTree:
             child.children.append(right.children.pop(0))
 
     def _merge(self, parent: _Node, left_index: int, left: _Node, right: _Node) -> None:
-        self.stats.merges += 1
         if left.leaf:
             left.keys.extend(right.keys)
             left.next = right.next

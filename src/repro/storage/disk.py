@@ -55,7 +55,7 @@ class DiskParams:
     s: float = 16.7       # average seek time
     esm_sequential_is_random: bool = False
 
-    def seq_cost(self, pages: int) -> float:
+    def seq_cost(self, pages: float) -> float:
         """SEQCOST(b) = s + r + b * ebt (Section 5)."""
         if pages <= 0:
             return 0.0
@@ -63,8 +63,9 @@ class DiskParams:
             return self.rnd_cost(pages)
         return self.s + self.r + pages * self.ebt
 
-    def rnd_cost(self, pages: int) -> float:
-        """RNDCOST(b) = b * (s + r + btt) (Section 5)."""
+    def rnd_cost(self, pages: float) -> float:
+        """RNDCOST(b) = b * (s + r + btt) (Section 5).  Fractional b is
+        the expected-page count mid-derivation and is costed linearly."""
         if pages <= 0:
             return 0.0
         return pages * (self.s + self.r + self.btt)

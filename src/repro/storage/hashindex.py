@@ -48,12 +48,10 @@ class _Bucket:
 
 @dataclass
 class HashStats:
-    bucket_reads: int = 0
     splits: int = 0
     directory_doublings: int = 0
 
     def reset(self) -> None:
-        self.bucket_reads = 0
         self.splits = 0
         self.directory_doublings = 0
 
@@ -86,7 +84,6 @@ class ExtendibleHashIndex:
         return len(self._directory)
 
     def _visit(self, bucket: _Bucket) -> None:
-        self.stats.bucket_reads += 1
         if self._on_bucket_access is not None:
             self._on_bucket_access()
 

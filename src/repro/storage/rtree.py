@@ -92,12 +92,10 @@ class _RNode:
 class RTreeStats:
     node_reads: int = 0
     splits: int = 0
-    reinserts: int = 0
 
     def reset(self) -> None:
         self.node_reads = 0
         self.splits = 0
-        self.reinserts = 0
 
 
 class RTree:
@@ -315,7 +313,6 @@ class RTree:
             self._height = 1
         self._num_entries -= 1
         for orphan_rect, orphan_value in orphans:
-            self.stats.reinserts += 1
             self._num_entries -= 1  # insert() re-increments
             self.insert(orphan_rect, orphan_value)
         return True

@@ -202,8 +202,8 @@ class TransactionManager:
     # -- two-phase commit (the participant side) ------------------------------
 
     def prepare(self, txn: Transaction, gid: str) -> None:
-        """Phase-1 vote: force a PREPARE record (with the held lock set,
-        for restart resurrection) and park the transaction in the in-doubt
+        """Phase-1 vote: force a PREPARE record (with the held locks and
+        their modes, for restart resurrection) and park the transaction in the in-doubt
         table.  Its locks stay held; only :meth:`commit_prepared` or
         :meth:`rollback_prepared` may finish it."""
         if not gid:
@@ -217,7 +217,10 @@ class TransactionManager:
                 raise TransactionError(
                     f"transaction {txn.txn_id} is already completing"
                 )
-            held = tuple(sorted(self.locks.held_by(txn.txn_id)))
+            held = tuple(sorted(
+                (resource, self.locks.mode_held(txn.txn_id, resource))
+                for resource in self.locks.held_by(txn.txn_id)
+            ))
             self.wal.append(
                 LogKind.PREPARE, txn.txn_id, gid=gid, locks=held
             )
@@ -253,9 +256,9 @@ class TransactionManager:
         """Rebuild a transaction restart recovery found unfinished on the
         log.  A loser (no ``prepare`` record) comes back ACTIVE, for
         :meth:`abort` to roll back; an in-doubt one comes back PREPARED,
-        holding the lock set its PREPARE record captured (re-acquired as
-        X -- conservative, and uncontended at restart) until its
-        coordinator decides."""
+        holding the locks its PREPARE record captured, each re-acquired
+        in its own mode (uncontended at restart), until its coordinator
+        decides."""
         txn = Transaction(txn_id, self)
         txn.update_lsns = list(update_lsns)
         with self._id_mutex:
@@ -265,8 +268,7 @@ class TransactionManager:
             return txn
         txn.state = TxnState.PREPARED
         txn.gid = prepare.gid
-        for resource in prepare.locks:
-            key = tuple(resource) if isinstance(resource, list) else resource
-            self.locks.acquire(txn_id, key, LockMode.X, timeout=0)
+        for resource, mode in prepare.locks:
+            self.locks.acquire(txn_id, resource, mode, timeout=0)
         self.in_doubt[prepare.gid] = txn
         return txn

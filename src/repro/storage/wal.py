@@ -58,8 +58,9 @@ class LogRecord:
     after: bytes | None = None
     #: PREPARE only: the global transaction id the coordinator minted.
     gid: str = ""
-    #: PREPARE only: the lock resources held at prepare time, so restart
-    #: recovery can re-acquire them for the resurrected in-doubt txn.
+    #: PREPARE only: the ``(resource, LockMode)`` pairs held at prepare
+    #: time, so restart recovery can re-acquire each in its own mode for
+    #: the resurrected in-doubt txn.
     locks: tuple = ()
 
     def __str__(self) -> str:

@@ -7,9 +7,16 @@ from __future__ import annotations
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.events import EventJournal
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import (
+    Histogram,
+    MetricsRegistry,
+    merge_histogram_dumps,
+    summarize_dump,
+)
 from repro.obs.promtext import (
     metric_name,
     parse_prometheus,
@@ -89,6 +96,33 @@ class TestHistogramPercentiles:
         assert buckets[-1][1] == 4
         counts = [count for _, count in buckets]
         assert counts == sorted(counts)  # cumulative = monotone
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+            st.integers(min_value=0, max_value=4),
+        ),
+        max_size=200,
+    ),
+)
+def test_federated_histogram_summary_is_exact(shards, stream):
+    """Summing per-shard dumps loses nothing: the merged summary is the
+    summary of one histogram fed the whole stream."""
+    whole = Histogram("whole")
+    parts = [Histogram(f"shard{i}") for i in range(shards)]
+    for value, shard in stream:
+        whole.observe(value)
+        parts[shard % shards].observe(value)
+    merged = merge_histogram_dumps([part.dump() for part in parts])
+    federated = summarize_dump(merged)
+    expected = whole.percentiles()
+    for key in ("count", "p50", "p95", "p99"):
+        assert federated[key] == expected[key]
+    assert federated["mean"] == pytest.approx(expected["mean"])
 
 
 # --------------------------------------------------------------------------

@@ -316,6 +316,30 @@ def test_telemetry_verb(sharded):
         assert client.telemetry("SYS$NOT_A_VIEW")["rows"] == []
 
 
+def test_router_slow_statement_is_journalled():
+    router, backends = _router(1)
+    router.slow_log.threshold_ms = 0.0
+    backends[0].db.kernel.slow_log.threshold_ms = 0.0
+    try:
+        with MoodClient(*router.address) as client:
+            client.execute("CREATE CLASS Item TUPLE (id Integer)")
+            client.query("SELECT i.id FROM Item i")
+            trace_id = client.last_trace_id
+            rows = client.query(
+                "SELECT e.shard, e.detail FROM SYS$EVENTS e "
+                "WHERE e.kind = 'statement.slow'"
+            ).rows
+    finally:
+        router.stop()
+    fields = ("session=", "statement_kind=", "total_ms=",
+              f"trace_id={trace_id}")
+    for shard in (-1, 0):
+        details = [detail for s, detail in rows
+                   if s == shard and f"trace_id={trace_id}" in detail]
+        assert len(details) == 1, (shard, rows)
+        assert all(field in details[0] for field in fields)
+
+
 # -- monitor panel ------------------------------------------------------------
 
 def test_cluster_monitor_panel(sharded):

@@ -80,7 +80,6 @@ def _crash_commit(router, host, port, point: str):
     """Run a cross-shard transfer whose commit kills the coordinator at
     ``point``; returns after the client has seen the connection die."""
     def boom():
-        router.simulate_crash()
         raise CoordinatorCrash(point)
 
     router.failpoints[point] = boom

@@ -5,6 +5,7 @@ crash-restart."""
 import pytest
 
 from repro.core.errors import LockTimeoutError, TransactionError
+from repro.storage.locks import LockMode
 from repro.storage.manager import StorageManager
 from repro.storage.transactions import TxnState
 
@@ -116,5 +117,27 @@ def test_in_doubt_survives_repeated_crashes(sm):
     sm.crash()
     report = sm.restart()
     assert [e.gid for e in report.in_doubt] == ["gid-1"]
+    assert sm.txns.commit_prepared("gid-1") is True
+    assert sm.read(f, oid) == b"prepared"
+
+
+def test_resurrected_branch_holds_each_lock_in_its_own_mode(sm):
+    f = sm.create_file("data")
+    with sm.begin() as setup:
+        oid = sm.insert(f, b"original", setup)
+    txn = sm.begin()
+    sm.txns.lock_shared(txn, ("catalog",))
+    sm.update(f, oid, b"prepared", txn)
+    sm.txns.prepare(txn, "gid-1")
+    sm.crash()
+    sm.restart()
+    other = sm.begin()
+    # The branch read the catalog: a reader shares it after restart.
+    sm.locks.acquire(other.txn_id, ("catalog",), LockMode.S, timeout=0)
+    # The branch wrote the file: a writer is still refused.
+    with pytest.raises(LockTimeoutError):
+        sm.locks.acquire(other.txn_id, ("file", f.file_id), LockMode.X,
+                         timeout=0)
+    other.abort()
     assert sm.txns.commit_prepared("gid-1") is True
     assert sm.read(f, oid) == b"prepared"
