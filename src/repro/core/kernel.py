@@ -15,6 +15,7 @@ last statement is kept on :attr:`MoodKernel.trace`.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.catalog.catalog import Catalog
@@ -22,7 +23,7 @@ from repro.catalog.cppfront import generate_header
 from repro.catalog.entities import MoodsFunction
 from repro.cluster.coaccess import CoAccessLog
 from repro.cluster.recluster import Reclusterer
-from repro.core.errors import ExecutionError, MoodSqlError
+from repro.core.errors import ExecutionError, MoodSqlError, describe_error
 from repro.core.prepare import (
     PlanCache,
     PreparedRegistry,
@@ -43,7 +44,13 @@ from repro.obs.explain import (
     explain_query_plan,
 )
 from repro.obs.spans import Span, SpanRecorder
-from repro.obs.trace import SlowQueryLog, StatementLog
+from repro.obs.trace import (
+    SlowQueryLog,
+    StatementLog,
+    StatementTrace,
+    server_trace_id,
+    truncate_statement,
+)
 from repro.obs.views import SystemViewRegistry, register_kernel_views
 from repro.optimizer.fuse import fuse_query_plan
 from repro.optimizer.planner import Planner, QueryPlan
@@ -204,25 +211,66 @@ class MoodKernel:
             ExecuteStmt: (self._handle_execute_prepared, None),
             DeallocateStmt: (self._handle_deallocate, None),
         }
-        #: Telemetry rings the sessions feed and the SYS$ views read.
+        #: Telemetry rings :meth:`statement` files into and the SYS$
+        #: views read, and the statement ledgers it counts into.
         self.statement_log = StatementLog()
         self.slow_log = SlowQueryLog()
         self.system_views = SystemViewRegistry()
         register_kernel_views(self)
+        server = self.storage.metrics.component("server")
+        self._m_statements = server.counter("statements")
+        self._m_statements_failed = server.counter("statements_failed")
+        self._m_statement_ms = server.histogram("statement_ms")
 
-    def record_statement(self, trace) -> None:
-        """File one finished statement's trace: ring it, offer it to the
-        slow log, and journal ``statement.slow`` when the slow log kept
-        it."""
-        self.statement_log.record(trace)
-        if self.slow_log.consider(trace):
-            self.storage.events.emit(
-                "statement.slow",
-                trace_id=trace.trace_id,
-                session=trace.session_id,
-                statement_kind=trace.kind,
-                total_ms=round(trace.total_ms, 3),
-            )
+    @contextmanager
+    def statement(self, session_id: int, text: str, kind: str,
+                  trace_id: str | None = None, **fields):
+        """Record one statement: the one place a statement is traced,
+        counted and failed, for a worker's session and the sharded
+        router alike.
+
+        Yields the statement's :class:`StatementTrace` (a server trace id
+        when ``trace_id`` is None; ``fields`` preset its other columns)
+        and times the block.  An exception leaving the block sets the
+        status to its stable code -- ``MOOD`` for a foreign one -- and
+        propagates; a caller that answers a failure without raising sets
+        ``status`` itself.  On exit the trace is ringed, offered to the
+        slow log (``statement.slow`` journaled when kept) and counted:
+        ``server.statements`` if it succeeded, ``server.statements_failed``
+        and ``server.errors.<CODE>`` if it failed, ``server.statement_ms``
+        either way."""
+        trace = StatementTrace(
+            trace_id=trace_id or server_trace_id(),
+            session_id=session_id,
+            statement=truncate_statement(text),
+            kind=kind,
+            started_at=time.time(),
+            **fields,
+        )
+        started = time.monotonic()
+        try:
+            yield trace
+        except BaseException as exc:
+            trace.status = describe_error(exc)["code"]
+            raise
+        finally:
+            trace.total_ms = (time.monotonic() - started) * 1e3
+            self._m_statement_ms.observe(trace.total_ms)
+            if trace.status == "OK":
+                self._m_statements.inc()
+            else:
+                self._m_statements_failed.inc()
+                self.storage.metrics.counter(
+                    f"server.errors.{trace.status}").inc()
+            self.statement_log.record(trace)
+            if self.slow_log.consider(trace):
+                self.storage.events.emit(
+                    "statement.slow",
+                    trace_id=trace.trace_id,
+                    session=trace.session_id,
+                    statement_kind=trace.kind,
+                    total_ms=round(trace.total_ms, 3),
+                )
 
     # -- statistics and planning -------------------------------------------------
 

@@ -41,41 +41,24 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def render_prometheus(registry: MetricsRegistry, prefix: str = "mood") -> str:
-    """The whole registry in Prometheus text exposition format 0.0.4."""
-    lines: list[str] = []
-    for dotted, value in registry.counters().items():
-        name = metric_name(dotted, prefix)
-        lines.append(f"# TYPE {name} counter")
-        lines.append(f"{name} {_format_value(value)}")
-    for dotted, histogram in sorted(registry._histogram_items()):
-        name = metric_name(dotted, prefix)
-        lines.append(f"# TYPE {name} summary")
-        for fraction, label in QUANTILES:
-            lines.append(
-                f'{name}{{quantile="{label}"}} '
-                f"{_format_value(histogram.percentile(fraction))}"
-            )
-        lines.append(f"{name}_sum {_format_value(histogram.total)}")
-        lines.append(f"{name}_count {_format_value(histogram.count)}")
-    return "\n".join(lines) + "\n"
-
-
-def render_cluster_prometheus(
+def render_prometheus(
     registry: MetricsRegistry,
-    per_shard: dict[int, tuple[dict, dict]],
+    per_shard: dict[int, tuple[dict, dict]] | None = None,
     prefix: str = "mood",
 ) -> str:
-    """The merged cluster exposition a sharded router's METRICS answers.
+    """``registry`` in Prometheus text exposition format 0.0.4: a single
+    engine's METRICS answer, and with ``per_shard`` the merged cluster
+    exposition a sharded router's METRICS answers.
 
-    ``registry`` is the router's own registry (its samples carry no
-    ``shard`` label); ``per_shard`` maps a shard index to its
-    ``(counters, histogram_dumps)`` TELEMETRY payload, rendered with
-    ``shard="<i>"`` labels.  Each metric family is declared once, then
-    lists the router sample (if any) followed by one sample per shard --
-    plus a cluster-wide ``quantile`` summary computed by merging the
-    shards' histogram dumps (bucket sums, not averages of percentiles).
+    ``registry``'s samples carry no ``shard`` label; ``per_shard`` maps a
+    shard index to its ``(counters, histogram_dumps)`` TELEMETRY payload,
+    rendered with ``shard="<i>"`` labels.  Each metric family is declared
+    once, then lists the unlabelled sample (if any) followed by one
+    sample per shard -- plus, when a family has more than one sample, a
+    cluster-wide ``quantile`` summary computed by merging the dumps
+    (bucket sums, not averages of percentiles).
     """
+    per_shard = per_shard or {}
     counter_families: dict[str, list[tuple[str | None, float]]] = {}
     for dotted, value in registry.counters().items():
         counter_families.setdefault(dotted, []).append((None, value))

@@ -56,8 +56,8 @@ from repro.core.errors import (
     describe_error,
 )
 from repro.obs.metrics import merge_histogram_dumps, summarize_dump
+from repro.obs.promtext import render_prometheus
 from repro.obs.spans import Span
-from repro.obs.trace import StatementTrace, server_trace_id, truncate_statement
 from repro.server.protocol import (
     FrameListener,
     decode_frame,
@@ -84,6 +84,7 @@ from repro.sql.ast import (
     DropClass,
     DropIndex,
     DropMethod,
+    ExecuteStmt,
     ExplainStmt,
     NewObject,
     SelectQuery,
@@ -198,15 +199,6 @@ class ShardedServer:
         self._m_2pc_recovered = component.counter("twopc_recovered")
         self._m_unavailable = component.counter("unavailable")
         self._m_raw_relays = component.counter("raw_relays")
-        # Router-level statement accounting (the satellite fix: failures
-        # the router itself produces -- scatter-gather partial failures,
-        # SHARD_UNAVAILABLE -- were invisible to metrics before).
-        server_component = self.metrics.component("server")
-        self._m_statements = server_component.counter("statements")
-        self._m_statements_failed = server_component.counter(
-            "statements_failed"
-        )
-        self._m_statement_ms = server_component.histogram("statement_ms")
         # Per-phase 2PC latency distributions (prepare votes, the
         # decision-log force, phase-2 verbs, whole protocol).
         twopc = self.metrics.component("twopc")
@@ -429,58 +421,46 @@ class ShardedServer:
                        raw: bytes | None = None):
         """Route one decoded request; ``raw`` is its wire payload, which
         single-shard routes relay untouched (the return value is then the
-        shard's response bytes rather than a dict)."""
-        started = time.monotonic()
+        shard's response bytes rather than a dict).
+
+        A statement verb is recorded by the view database's kernel -- the
+        router's own trace rings and ``server.*`` ledgers -- whatever its
+        outcome, its status the response's error code, so failures the
+        router itself produces (a scatter partial failure,
+        SHARD_UNAVAILABLE, a routing rejection) count like a worker's."""
         session.pending_spans = []
-        verb = None
         try:
             verb = validate_request(request)
+        except MoodError as exc:
+            return error_response(describe_error(exc))
+        if not verb.statement:
+            return self._answer(session, verb, request, raw)
+        statement = request.get("sql") or request.get("name") or request["op"]
+        with self._viewdb.kernel.statement(
+            session.session_id, str(statement), request["op"],
+            request.get("trace"),
+        ) as trace:
+            response = self._answer(session, verb, request, raw)
+            trace.status = _response_error_code(response) or "OK"
+            trace.spans = session.pending_spans
+        session.statements += 1
+        session.last_trace_id = trace.trace_id
+        return response
+
+    def _answer(self, session: RouterSession, verb, request: dict,
+                raw: bytes | None):
+        """Dispatch one valid request.  Every failure is answered, never
+        raised: a shard's error frame verbatim, any other exception --
+        a foreign one as ``MOOD`` -- described in an error frame."""
+        try:
             if verb.internal:
                 raise ProtocolError(f"{request['op']} is a router-to-shard "
                                     "operation, not a client one")
-            response = self._dispatch(session, request["op"], request, raw)
+            return self._dispatch(session, request["op"], request, raw)
         except _ShardErrorResponse as exc:
-            response = exc.response
-        except MoodError as exc:
-            response = error_response(describe_error(exc))
-        if verb is not None and verb.statement:
-            self._account_statement(session, request, response, started)
-        return response
-
-    def _account_statement(self, session: RouterSession, request: dict,
-                           response, started: float) -> None:
-        """Count and trace one routed statement.
-
-        Every statement-shaped request lands here whatever its outcome,
-        so failures the *router* produces -- a scatter-gather partial
-        failure, SHARD_UNAVAILABLE, a routing rejection -- now count in
-        ``server.statements_failed`` / ``server.errors.<CODE>`` exactly
-        like a worker-side failure (they previously vanished: the router
-        kept no statement counters at all)."""
-        total_ms = (time.monotonic() - started) * 1e3
-        code = _response_error_code(response)
-        self._m_statements.inc()
-        session.statements += 1
-        if code is not None:
-            self._m_statements_failed.inc()
-            self.metrics.counter(f"server.errors.{code}").inc()
-        self._m_statement_ms.observe(total_ms)
-        op = request["op"]
-        trace_id = request.get("trace") or server_trace_id()
-        session.last_trace_id = trace_id
-        statement = request.get("sql") or request.get("name") or op
-        trace = StatementTrace(
-            trace_id=trace_id,
-            session_id=session.session_id,
-            statement=truncate_statement(str(statement)),
-            kind=op,
-            status=code if code is not None else "OK",
-            started_at=time.time() - total_ms / 1e3,
-            total_ms=total_ms,
-            spans=list(session.pending_spans),
-        )
-        session.pending_spans = []
-        self._viewdb.kernel.record_statement(trace)
+            return exc.response
+        except Exception as exc:
+            return error_response(describe_error(exc))
 
     def _dispatch(self, session: RouterSession, op: str, request: dict,
                   raw: bytes | None):
@@ -531,12 +511,10 @@ class ShardedServer:
         if op == "STATS":
             return ok_response({"stats": self._stats(session)})
         if op == "METRICS":
-            from repro.obs.promtext import render_cluster_prometheus
-
             # The merged cluster exposition: router samples unlabelled,
             # worker samples labelled shard="<i>", histogram families
             # additionally merged into shard="cluster" quantiles.
-            return ok_response({"metrics": render_cluster_prometheus(
+            return ok_response({"metrics": render_prometheus(
                 self.metrics, self.telemetry.shard_metrics()
             )})
         if op == "TELEMETRY":
@@ -624,6 +602,13 @@ class ShardedServer:
         # anything else is session-scoped enough to pin to one shard.
         if hint is not None:
             return ("shard", hint)
+        if isinstance(statement, ExecuteStmt):
+            # Its bound statement could need a scatter or a 2PC write;
+            # broadcast, it would answer from one shard.
+            raise ProtocolError(
+                "EXECUTE in SQL text needs a shard hint; run a prepared "
+                "statement across shards with the EXECUTE_PREPARED verb"
+            )
         return ("broadcast",)
 
     def _execute_sql(self, session: RouterSession, op: str, request: dict,

@@ -171,12 +171,14 @@ class MoodServer:
     def handle_request(self, session: Session, request: dict,
                        raw: bytes | None = None) -> dict:
         """One request frame in, one response frame out.  ``raw`` (the
-        wire payload) is unused: a single engine has nowhere to relay."""
+        wire payload) is unused: a single engine has nowhere to relay.
+        Every failure is answered with an error frame, a foreign
+        exception as ``MOOD``: none may cost the client its connection."""
         self._m_frames.inc()
         try:
             validate_request(request)
             return self._dispatch(session, request["op"], request)
-        except MoodError as exc:
+        except Exception as exc:
             self._m_errors.inc()
             return error_response(describe_error(exc))
         finally:
@@ -240,12 +242,12 @@ class MoodServer:
             return _statement_payload(self.sessions.rollback(session))
         if op == "PREPARE":
             return _statement_payload(self.sessions.prepare(
-                session, request["name"], request["sql"]
+                session, request["name"], request["sql"], trace_id=trace_id
             ))
         if op == "DEALLOCATE":
-            return _statement_payload(
-                self.sessions.deallocate(session, request["name"])
-            )
+            return _statement_payload(self.sessions.deallocate(
+                session, request["name"], trace_id=trace_id
+            ))
         if op == "PREPARE_TXN":
             return _statement_payload(self.sessions.prepare_transaction(
                 session, request["gid"], trace_id=trace_id

@@ -55,11 +55,7 @@ from repro.core.prepare import PreparedRegistry
 from repro.catalog.typeparse import parse_type
 from repro.model.types import referenced_class
 from repro.obs.spans import SpanRecorder
-from repro.obs.trace import (
-    StatementTrace,
-    server_trace_id,
-    truncate_statement,
-)
+from repro.obs.trace import StatementTrace, server_trace_id
 from repro.sql.ast import (
     AlterClass,
     AnalyzeStmt,
@@ -181,11 +177,7 @@ class SessionManager:
         self._next_id = 1
         self._shutting_down = False
         component = self.kernel.storage.metrics.component("server")
-        self._component = component
         self._m_sessions = component.counter("sessions_opened")
-        self._m_statements = component.counter("statements")
-        self._m_statements_failed = component.counter("statements_failed")
-        self._m_statement_ms = component.histogram("statement_ms")
         self._m_deadlocks = component.counter("deadlock_aborts")
         self._m_lock_timeouts = component.counter("lock_timeouts")
         self._m_stmt_timeouts = component.counter("statement_timeouts")
@@ -312,12 +304,14 @@ class SessionManager:
         coordinator) with all its locks still held.
 
         ``trace_id`` is the coordinator's transaction trace: the vote is
-        recorded under it (trace ring + ``twopc.prepare`` journal event),
-        so one cross-shard commit reads as one trace across the cluster.
+        recorded under it (a statement trace + ``twopc.prepare`` journal
+        event), so one cross-shard commit reads as one trace across the
+        cluster.
         """
         self._check_open(session)
-        started = time.monotonic()
-        with session.mutex:
+        with self.kernel.statement(
+            session.session_id, f"PREPARE_TXN {gid}", "PREPARE_TXN", trace_id,
+        ) as trace, session.mutex:
             txn = session.txn
             if txn is None:
                 raise TransactionError("no open transaction to prepare")
@@ -326,30 +320,30 @@ class SessionManager:
                 raise TransactionAbortedError(
                     f"transaction {txn.txn_id} was already rolled back"
                 )
+            trace.txn_id = txn.txn_id
             self.kernel.storage.txns.prepare(txn, gid)
             session.txn = None
             self._m_prepares.inc()
-            self._record_twopc(
-                "PREPARE_TXN", gid, trace_id, started,
-                session_id=session.session_id, txn_id=txn.txn_id,
-                event="twopc.prepare", vote="yes",
-            )
-            return StatementResult(
-                kind="PREPARE_TXN", detail=f"transaction {txn.txn_id} gid {gid}"
-            )
+        self._journal_twopc(
+            "twopc.prepare", gid, trace,
+            session_id=session.session_id, txn_id=txn.txn_id, vote="yes",
+        )
+        return StatementResult(
+            kind="PREPARE_TXN", detail=f"transaction {txn.txn_id} gid {gid}"
+        )
 
     def commit_prepared(
         self, gid: str, trace_id: str | None = None,
     ) -> StatementResult:
-        """Idempotent phase-2 commit for a prepared transaction."""
-        started = time.monotonic()
-        applied = self.kernel.storage.txns.commit_prepared(gid)
+        """Idempotent phase-2 commit for a prepared transaction (session
+        id -1: phase-2 verbs run outside any client session)."""
+        with self.kernel.statement(
+            -1, f"COMMIT_PREPARED {gid}", "COMMIT_PREPARED", trace_id,
+        ) as trace:
+            applied = self.kernel.storage.txns.commit_prepared(gid)
         if applied:
             self._m_commits.inc()
-            self._record_twopc(
-                "COMMIT_PREPARED", gid, trace_id, started,
-                event="twopc.commit",
-            )
+            self._journal_twopc("twopc.commit", gid, trace)
         return StatementResult(
             kind="COMMIT_PREPARED",
             detail=f"gid {gid} {'committed' if applied else 'already resolved'}",
@@ -360,50 +354,26 @@ class SessionManager:
     ) -> StatementResult:
         """Idempotent phase-2 abort (or presumed abort) for a prepared
         transaction."""
-        started = time.monotonic()
-        applied = self.kernel.storage.txns.rollback_prepared(gid)
+        with self.kernel.statement(
+            -1, f"ROLLBACK_PREPARED {gid}", "ROLLBACK_PREPARED", trace_id,
+        ) as trace:
+            applied = self.kernel.storage.txns.rollback_prepared(gid)
         if applied:
             self._m_rollbacks.inc()
-            self._record_twopc(
-                "ROLLBACK_PREPARED", gid, trace_id, started,
-                event="twopc.rollback",
-            )
+            self._journal_twopc("twopc.rollback", gid, trace)
         return StatementResult(
             kind="ROLLBACK_PREPARED",
             detail=f"gid {gid} {'rolled back' if applied else 'already resolved'}",
         )
 
-    def _record_twopc(
-        self,
-        kind: str,
-        gid: str,
-        trace_id: str | None,
-        started: float,
-        session_id: int = -1,
-        txn_id: int = 0,
-        event: str = "",
-        **event_fields,
-    ) -> None:
-        """One applied 2PC lifecycle verb: a statement-ring trace under
-        the coordinator's trace id plus a ``twopc.*`` journal event.
-        ``session_id`` -1 marks coordinator-driven phase-2 verbs, which
-        run outside any client session."""
-        total_ms = (time.monotonic() - started) * 1e3
-        trace = StatementTrace(
-            trace_id=trace_id if trace_id is not None else server_trace_id(),
-            session_id=session_id,
-            statement=truncate_statement(f"{kind} {gid}"),
-            kind=kind,
-            txn_id=txn_id,
-            started_at=time.time() - total_ms / 1e3,
-            total_ms=total_ms,
+    def _journal_twopc(self, event: str, gid: str, trace: StatementTrace,
+                       **fields) -> None:
+        """An applied 2PC verb's ``twopc.*`` journal event, under the
+        verb's trace id and with its wall time."""
+        self.kernel.storage.events.emit(
+            event, gid=gid, trace_id=trace.trace_id,
+            ms=round(trace.total_ms, 3), **fields,
         )
-        self.kernel.statement_log.record(trace)
-        if event:
-            self.kernel.storage.events.emit(
-                event, gid=gid, trace_id=trace.trace_id,
-                ms=round(total_ms, 3), **event_fields,
-            )
 
     def in_doubt_gids(self) -> list[str]:
         """Global transaction ids prepared here and awaiting a decision."""
@@ -460,7 +430,8 @@ class SessionManager:
 
     # -- prepared-statement verbs (the wire protocol's direct ops) -----------
 
-    def prepare(self, session: Session, name: str, sql: str) -> StatementResult:
+    def prepare(self, session: Session, name: str, sql: str,
+                trace_id: str | None = None) -> StatementResult:
         """Compile ``sql`` once under ``name`` in the session's registry."""
         self._check_open(session)
         statements = parse_script(sql)
@@ -472,14 +443,19 @@ class SessionManager:
                 "PREPARE/EXECUTE/DEALLOCATE cannot themselves be prepared"
             )
         with session.mutex:
-            return self._run_registry_statement(
-                session, PrepareStmt(name, statement)
+            return self._execute_one(
+                session, PrepareStmt(name, statement), self.statement_timeout,
+                f"PREPARE {name} AS {sql}", trace_id,
             )
 
-    def deallocate(self, session: Session, name: str) -> StatementResult:
+    def deallocate(self, session: Session, name: str,
+                   trace_id: str | None = None) -> StatementResult:
         self._check_open(session)
         with session.mutex:
-            return self._run_registry_statement(session, DeallocateStmt(name))
+            return self._execute_one(
+                session, DeallocateStmt(name), self.statement_timeout,
+                f"DEALLOCATE {name}", trace_id,
+            )
 
     def _run_registry_statement(self, session: Session,
                                 statement) -> StatementResult:
@@ -497,7 +473,6 @@ class SessionManager:
         else:
             session.prepared.deallocate(statement.name)
             result = StatementResult("DEALLOCATE", statement.name)
-        self._m_statements.inc()
         session.statements += 1
         return result
 
@@ -515,17 +490,12 @@ class SessionManager:
         no rewrite, and (on a plan cache hit) no optimize either."""
         self._check_open(session)
         budget = self.statement_timeout if timeout is None else timeout
-        if trace_id is None:
-            trace_id = server_trace_id()
         prepared = session.prepared.get(name)   # UNKNOWN_PREPARED on miss
         bound = prepared.bind(values)
         with session.mutex:
             return self._execute_one(
-                session, bound, budget,
-                sql_text=f"EXECUTE {name}",
-                trace_id=trace_id,
-                queue_wait_ms=queue_wait_ms,
-                kind="EXECUTE",
+                session, bound, budget, f"EXECUTE {name}", trace_id,
+                queue_wait_ms=queue_wait_ms, kind="EXECUTE",
             )
 
     def _execute_one(
@@ -534,34 +504,19 @@ class SessionManager:
         statement,
         budget: float,
         sql_text: str,
-        trace_id: str,
-        queue_wait_ms: float,
+        trace_id: str | None,
+        queue_wait_ms: float = 0.0,
         kind: str | None = None,
     ):
-        trace = StatementTrace(
-            trace_id=trace_id,
-            session_id=session.session_id,
-            statement=truncate_statement(sql_text),
-            kind=kind or _statement_kind(statement),
-            started_at=time.time(),
-            queue_wait_ms=queue_wait_ms,
-        )
-        session.last_trace_id = trace_id
-        started = time.monotonic()
-        try:
+        """Run one statement under the kernel's statement recorder: every
+        failure -- including ones raised before the engine ran -- lands
+        in the trace and the failure counters."""
+        with self.kernel.statement(
+            session.session_id, sql_text, kind or _statement_kind(statement),
+            trace_id, queue_wait_ms=queue_wait_ms,
+        ) as trace:
+            session.last_trace_id = trace.trace_id
             return self._execute_traced(session, statement, budget, trace)
-        except MoodError as exc:
-            # Every failure -- including ones raised before the engine ran
-            # -- lands in the trace, the failure counters, and (via the
-            # finally) the latency histogram.
-            trace.status = getattr(exc, "code", None) or "ERROR"
-            self._m_statements_failed.inc()
-            self._component.counter(f"errors.{trace.status}").inc()
-            raise
-        finally:
-            trace.total_ms = (time.monotonic() - started) * 1e3
-            self._m_statement_ms.observe(trace.total_ms)
-            self.kernel.record_statement(trace)
 
     def _execute_traced(
         self,
@@ -592,24 +547,21 @@ class SessionManager:
             result = self._run_latched(txn, statement, deadline, trace)
             if autocommit:
                 txn.commit()
-            self._m_statements.inc()
             session.statements += 1
             return result
-        except (DeadlockError, LockTimeoutError, LockCancelledError,
-                StatementTimeoutError) as exc:
+        except Exception as exc:
+            # Any failure, foreign ones included, gives the transaction
+            # up: a crashed statement must not keep its locks.
             self._count_concurrency_error(exc)
             self._surrender(session, txn, autocommit)
             raise
-        except MoodError:
-            self._surrender(session, txn, autocommit)
-            raise
 
-    def _count_concurrency_error(self, exc: MoodError) -> None:
+    def _count_concurrency_error(self, exc: Exception) -> None:
         if isinstance(exc, DeadlockError):
             self._m_deadlocks.inc()
         elif isinstance(exc, StatementTimeoutError):
             self._m_stmt_timeouts.inc()
-        else:
+        elif isinstance(exc, (LockTimeoutError, LockCancelledError)):
             self._m_lock_timeouts.inc()
 
     def _surrender(

@@ -189,6 +189,36 @@ def test_unhinted_prepared_scatter_merges_order_like_its_literal_twin(
     assert after == before + 1
 
 
+def test_unhinted_sql_text_execute_is_refused_not_answered_by_one_shard(
+        sharded):
+    """An unhinted SQL-text EXECUTE would broadcast and answer from the
+    first shard: half the rows of a SELECT, a write outside 2PC with half
+    the count.  The router refuses it with a stable code instead; the
+    EXECUTE_PREPARED verb and a hinted EXECUTE keep working."""
+    _, backends, host, port = sharded
+    with MoodClient(host, port) as client:
+        client.execute("PREPARE ge AS SELECT i.id FROM Item i "
+                       "WHERE i.val >= ?")
+        client.execute("PREPARE bump AS UPDATE Item i SET val = i.val + 1 "
+                       "WHERE i.val >= ?")
+        for sql in ("EXECUTE ge (0)", "EXECUTE bump (0)"):
+            with pytest.raises(MoodServerError) as excinfo:
+                client.execute(sql)
+            assert excinfo.value.code == "PROTOCOL"
+            assert "EXECUTE_PREPARED" in str(excinfo.value)
+            assert "shard hint" in str(excinfo.value)
+        # Nothing ran: every value is still the seeded one.
+        for backend in backends:
+            rows = backend.db.query("SELECT i.id, i.val FROM Item i").rows
+            assert all(val == i * 10 for i, val in rows)
+        # A hinted EXECUTE is forwarded to its shard.
+        (result,) = client.execute("EXECUTE ge (0)", shard=1)
+        assert sorted(result.scalars()) == [1, 3, 5, 7]
+        client.prepare("ge_wire", "SELECT i.id FROM Item i WHERE i.val >= ?")
+        assert sorted(client.execute_prepared("ge_wire", [0]).scalars()) \
+            == list(range(8))
+
+
 BUMP = "UPDATE Item i SET val = i.val + 1 WHERE i.id < 4"
 
 
