@@ -25,12 +25,14 @@ shard index, ``shard_key`` hashes an application key to one
 
 Cross-shard transactions commit with **presumed-abort two-phase
 commit**: every participant forces a PREPARE record (votes yes, keeps
-its locks), the router forces the decision into its
+its locks), the router forces a COMMIT decision into its
 :class:`~repro.server.txlog.CoordinatorLog` -- the commit point -- then
-drives the idempotent phase-2 verbs.  :meth:`ShardedServer.recover`
-re-drives pending decisions after a router crash and presumed-abort
-sweeps the shards' in-doubt lists, so no transaction stays in doubt
-longer than one restart.
+drives the idempotent phase-2 verbs.  A failed prepare round logs
+nothing: the yes-voters are rolled back and any branch out of reach is
+presumed aborted.  :meth:`ShardedServer.recover` re-drives pending
+decisions after a router crash and sweeps the shards' in-doubt gids
+that no coordinator is still running and no decision names, so no
+transaction stays in doubt longer than one restart.
 
 A ``SELECT ... FROM SYS$SHARDS`` is answered by the router itself (it is
 the only party that knows the topology); every other ``SYS$`` view
@@ -176,10 +178,9 @@ class ShardedServer:
         self.shard_count = len(self.backends)
         if self.shard_count < 1:
             raise MoodError("a sharded server needs at least one shard")
-        # Not `txlog or ...`: an empty CoordinatorLog has len() == 0 and
-        # would be silently replaced, losing the injected log.
-        self.txlog = (txlog if txlog is not None
-                      else CoordinatorLog(self.config.txlog_path))
+        self.txlog = txlog or CoordinatorLog(self.config.txlog_path)
+        #: Gids whose coordinator is running (recovery leaves them be).
+        self._live_gids: set[str] = set()
         #: Test hooks: ``failpoints[name] = fn`` runs ``fn()`` at the
         #: named point in the commit protocol (tests raise from it to
         #: simulate a coordinator crash at exactly that instant).
@@ -282,26 +283,33 @@ class ShardedServer:
     # -- coordinator recovery -------------------------------------------------
 
     def recover(self) -> dict:
-        """Drain the decision log, then presumed-abort sweep the shards.
+        """Re-drive the decision log, then presumed-abort sweep the shards.
 
         Phase 1: every logged decision without a DONE is re-driven (the
         phase-2 verbs are idempotent, so re-driving an already-applied
-        decision is harmless).  Phase 2: any gid a shard still holds in
-        doubt with *no* logged decision never reached the commit point --
-        presumed abort says roll it back.
+        decision is harmless).  Phase 2: any gid a shard holds in doubt
+        with *no* logged decision never reached the commit point --
+        presumed abort says roll it back.  Both phases skip the gids
+        whose coordinator is still running: it decides them itself.  The
+        live set is read after the shards' in-doubt lists and before the
+        log, because a coordinator logs its decision before it leaves
+        the set.
         """
+        in_doubt = []
+        for shard in range(self.shard_count):
+            try:
+                response = self._admin_call(shard, {"op": "IN_DOUBT"})
+            except ShardUnavailableError:
+                continue
+            in_doubt += [(shard, gid) for gid in response.get("gids", [])]
+        with self._mutex:
+            live = set(self._live_gids)
+        pending = [d for d in self.txlog.pending() if d.gid not in live]
         redriven = 0
-        swept = 0
-        for decision in self.txlog.pending():
+        for decision in pending:
             verb = ("COMMIT_PREPARED" if decision.verdict == "COMMIT"
                     else "ROLLBACK_PREPARED")
-            all_acked = True
-            for shard in decision.shards:
-                try:
-                    self._admin_call(shard, {"op": verb, "gid": decision.gid})
-                except ShardUnavailableError:
-                    all_acked = False
-            if all_acked:
+            if self._phase_two(None, decision.gid, verb, decision.shards, []):
                 self.txlog.log_done(decision.gid)
                 self._m_2pc_recovered.inc()
                 self.events.emit(
@@ -310,23 +318,13 @@ class ShardedServer:
                     shards=len(decision.shards),
                 )
                 redriven += 1
-        decided = {d.gid for d in self.txlog.pending()}
-        for shard in range(self.shard_count):
-            try:
-                response = self._admin_call(shard, {"op": "IN_DOUBT"})
-            except ShardUnavailableError:
-                continue
-            for gid in response.get("gids", []):
-                if gid not in decided:
-                    try:
-                        self._admin_call(
-                            shard,
-                            {"op": "ROLLBACK_PREPARED", "gid": gid},
-                        )
-                        self.events.emit("twopc.swept", gid=gid, shard=shard)
-                        swept += 1
-                    except ShardUnavailableError:
-                        pass
+        settled = live | {d.gid for d in pending}
+        swept = 0
+        for shard, gid in in_doubt:
+            if gid not in settled and self._phase_two(
+                    None, gid, "ROLLBACK_PREPARED", [shard], []):
+                self.events.emit("twopc.swept", gid=gid, shard=shard)
+                swept += 1
         return {"redriven": redriven, "swept": swept}
 
     def _admin_call(self, shard: int, request: dict) -> dict:
@@ -817,12 +815,11 @@ class ShardedServer:
         session.txn_trace = None
         participants, session.participants = session.participants, set()
         frame = _shard_frame({"trace": trace}, "ROLLBACK")
-        failed = 0
         for shard in sorted(participants):
             try:
                 self._call_shard(session, shard, frame)
             except (ShardUnavailableError, _ShardErrorResponse):
-                failed += 1  # its branch dies with its session anyway
+                pass  # its branch dies with its session anyway
         return _synth_statement(
             "ROLLBACK",
             f"distributed rollback across {len(participants)} shard(s)",
@@ -853,77 +850,63 @@ class ShardedServer:
         trace id rides every PREPARE_TXN / phase-2 frame (each worker
         records its branch under the same trace), every lifecycle point
         lands in the ``twopc.*`` journal events and latency histograms,
-        and the whole protocol leaves a span tree on the COMMIT trace."""
+        and the whole protocol leaves a span tree on the COMMIT trace.
+        Only a COMMIT decision is logged; the gid is live (left alone by
+        :meth:`recover`) from before the first PREPARE until return."""
         gid = f"rtx-{uuid.uuid4().hex}"
         commit_started = time.monotonic()
         spans: list[Span] = []
         prepared: list[int] = []
         prepare_frame = _shard_frame({"trace": trace}, "PREPARE_TXN", gid=gid)
-        for shard in participants:
-            vote_started = time.monotonic()
-            try:
-                self._call_checked(session, shard, prepare_frame)
-            except _ShardErrorResponse as exc:
-                # The shard said no (its branch was victimised, timed
-                # out, ...): abort everywhere, pass its verdict through.
+        with self._mutex:
+            self._live_gids.add(gid)
+        try:
+            for shard in participants:
+                vote_started = time.monotonic()
+                try:
+                    self._call_checked(session, shard, prepare_frame)
+                except (_ShardErrorResponse, ShardUnavailableError) as exc:
+                    # A no vote (its branch rolled back with the error) or
+                    # a vanished shard (its vote may have hit its WAL; the
+                    # sweep resolves it): abort the rest, log nothing.
+                    vanished = isinstance(exc, ShardUnavailableError)
+                    self._twopc_mark(
+                        "prepare", gid, vote_started, spans, trace,
+                        shard=shard, vote="unavailable" if vanished else "no",
+                    )
+                    self._m_2pc_aborts.inc()
+                    self._phase_two(session, gid, "ROLLBACK_PREPARED",
+                                    prepared, spans, trace)
+                    self._phase_two(session, gid, "ROLLBACK",
+                                    participants[len(prepared) + 1:],
+                                    spans, trace)
+                    self._twopc_finish(session, gid, commit_started, spans,
+                                       trace, verdict="ABORT",
+                                       shards=len(participants))
+                    if not vanished:
+                        return exc.response
+                    self._m_2pc_in_doubt.inc()
+                    raise TransactionInDoubtError(
+                        f"shard {shard} vanished during prepare of {gid}; "
+                        "presumed abort"
+                    ) from None
+                prepared.append(shard)
                 self._twopc_mark("prepare", gid, vote_started, spans, trace,
-                                 shard=shard, vote="no")
-                self._resolve_abort(session, gid, prepared, participants,
-                                    voted_no=shard, trace=trace, spans=spans)
-                self._twopc_finish(session, gid, commit_started, spans,
-                                   trace, verdict="ABORT",
-                                   shards=len(participants))
-                return exc.response
-            except ShardUnavailableError:
-                # The shard vanished mid-prepare: we cannot know whether
-                # its vote hit the log, so log an ABORT decision for the
-                # whole gid -- recovery (or the sweep when the shard
-                # returns) resolves its branch by presumed abort.
-                self._twopc_mark("prepare", gid, vote_started, spans, trace,
-                                 shard=shard, vote="unavailable")
-                self._m_2pc_in_doubt.inc()
-                decision_started = time.monotonic()
-                self.txlog.log_decision(gid, "ABORT", participants)
-                self._twopc_mark("decision", gid, decision_started, spans,
-                                 trace, verdict="ABORT")
-                if self._resolve_abort(session, gid, prepared, participants,
-                                       voted_no=None, trace=trace,
-                                       spans=spans):
-                    self.txlog.log_done(gid)
-                self._twopc_finish(session, gid, commit_started, spans,
-                                   trace, verdict="ABORT",
-                                   shards=len(participants))
-                raise TransactionInDoubtError(
-                    f"shard {shard} vanished during prepare of {gid}; "
-                    "presumed abort"
-                ) from None
-            prepared.append(shard)
-            self._twopc_mark("prepare", gid, vote_started, spans, trace,
-                             shard=shard, vote="yes")
-        self._failpoint("before_decision")
-        decision_started = time.monotonic()
-        self.txlog.log_decision(gid, "COMMIT", participants)
-        self._twopc_mark("decision", gid, decision_started, spans, trace,
-                         verdict="COMMIT")
-        self._m_2pc_commits.inc()
-        self._failpoint("after_decision")
-        all_acked = True
-        commit_frame = _shard_frame({"trace": trace}, "COMMIT_PREPARED",
-                                    gid=gid)
-        for shard in participants:
-            phase2_started = time.monotonic()
-            try:
-                self._call_shard(session, shard, commit_frame)
-                self._twopc_mark("phase2", gid, phase2_started, spans, trace,
-                                 shard=shard, verb="COMMIT_PREPARED",
-                                 acked=True)
-            except ShardUnavailableError:
-                all_acked = False  # recovery re-drives from the txlog
-                self._twopc_mark("phase2", gid, phase2_started, spans, trace,
-                                 shard=shard, verb="COMMIT_PREPARED",
-                                 acked=False)
-        if all_acked:
-            self.txlog.log_done(gid)
+                                 shard=shard, vote="yes")
+            self._failpoint("before_decision")
+            decision_started = time.monotonic()
+            self.txlog.log_decision(gid, participants)
+            self._twopc_mark("decision", gid, decision_started, spans, trace,
+                             verdict="COMMIT")
+            self._m_2pc_commits.inc()
+            self._failpoint("after_decision")
+            # An unacked shard is re-driven from the txlog by recovery.
+            if self._phase_two(session, gid, "COMMIT_PREPARED", participants,
+                               spans, trace):
+                self.txlog.log_done(gid)
+        finally:
+            with self._mutex:
+                self._live_gids.discard(gid)
         self._twopc_finish(session, gid, commit_started, spans, trace,
                            verdict="COMMIT", shards=len(participants))
         return _synth_statement(
@@ -931,35 +914,26 @@ class ShardedServer:
             f"two-phase commit {gid} across {len(participants)} shards",
         )
 
-    def _resolve_abort(self, session: RouterSession, gid: str,
-                       prepared: list[int], participants: list[int],
-                       voted_no: int | None,
-                       trace: str | None = None,
-                       spans: list | None = None) -> bool:
-        """Best-effort immediate abort of every branch after a failed
-        prepare round; unreachable branches are covered by presumed
-        abort.  Returns whether every branch acknowledged."""
-        self._m_2pc_aborts.inc()
+    def _phase_two(self, session: RouterSession | None, gid: str, verb: str,
+                   shards, spans: list, trace: str | None = None) -> bool:
+        """Send ``verb`` for ``gid`` to each of ``shards`` -- over the
+        session's links, or the admin links when ``session`` is None
+        (recovery) -- marking every delivery; returns whether every shard
+        acked.  An unreachable shard is left to recovery."""
+        frame = _shard_frame({"trace": trace}, verb, gid=gid)
         all_acked = True
-        for shard in participants:
-            if shard == voted_no:
-                continue  # its branch already rolled back with the error
-            if shard in prepared:
-                frame = _shard_frame({"trace": trace}, "ROLLBACK_PREPARED",
-                                     gid=gid)
-            else:
-                frame = _shard_frame({"trace": trace}, "ROLLBACK")
-            phase2_started = time.monotonic()
+        for shard in shards:
+            started = time.monotonic()
             try:
-                self._call_shard(session, shard, frame)
+                if session is None:
+                    self._admin_call(shard, frame)
+                else:
+                    self._call_shard(session, shard, frame)
                 acked = True
-            except (ShardUnavailableError, _ShardErrorResponse):
-                all_acked = False
-                acked = False
-            if spans is not None:
-                self._twopc_mark("phase2", gid, phase2_started, spans,
-                                 trace, shard=shard, verb=frame["op"],
-                                 acked=acked)
+            except ShardUnavailableError:
+                acked = all_acked = False
+            self._twopc_mark("phase2", gid, started, spans, trace,
+                             shard=shard, verb=verb, acked=acked)
         return all_acked
 
     def _twopc_mark(self, phase: str, gid: str, started: float,
@@ -986,8 +960,6 @@ class ShardedServer:
         """Close the protocol: total latency, terminal event, and the
         assembled span tree handed to the COMMIT statement's trace."""
         self._twopc_mark("total", gid, started, spans, trace, **fields)
-        if not spans:
-            return
         total_ms = (time.monotonic() - started) * 1e3
         root = Span(operator="2PC", detail=gid, wall_ms=total_ms,
                     children=list(spans), trace_id=trace)

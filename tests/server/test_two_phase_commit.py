@@ -16,6 +16,7 @@ from repro.server import (
     RouterConfig,
     ShardedServer,
 )
+from repro.server.txlog import Decision
 from repro.server.worker import LocalShard
 
 ACCOUNTS = 12  # ids 0..11; even ids on shard 0, odd on shard 1
@@ -131,6 +132,30 @@ def test_coordinator_crash_before_decision_presumes_abort(ledger):
         router2.stop()
 
 
+def test_recovery_during_a_live_commit_leaves_its_gid_alone(ledger):
+    """A coordinator between its last PREPARE and its decision looks like
+    an abandoned gid from the shards' side; recovery must not sweep it."""
+    router, backends, host, port = ledger
+    reports = []
+
+    def recover_mid_commit():
+        router.failpoints.pop("before_decision", None)
+        assert len(_in_doubt(router)) == 2
+        reports.append(router.recover())
+
+    router.failpoints["before_decision"] = recover_mid_commit
+    with MoodClient(host, port) as client:
+        client.begin()
+        _transfer(client, 0, 1)
+        client.commit()
+    assert reports == [{"redriven": 0, "swept": 0}]
+    balances = _balances(host, port)
+    assert balances[0] == OPENING - 1
+    assert balances[1] == OPENING + 1
+    assert router.txlog.pending() == []
+    assert _in_doubt(router) == []
+
+
 # -- worker crashes -----------------------------------------------------------
 
 def test_worker_crash_mid_prepare_aborts_cleanly(ledger):
@@ -181,6 +206,35 @@ def test_worker_crash_after_vote_commits_on_restart(ledger):
     assert balances[1] == OPENING + 1
 
 
+def test_a_no_vote_aborts_every_branch_and_logs_nothing(ledger):
+    router, backends, host, port = ledger
+    aborts = router.metrics.snapshot().get("shard.twopc_aborts", 0)
+    client = MoodClient(host, port)
+    client.begin()
+    txn = client.txn_trace_id
+    _transfer(client, 0, 1)
+    # A failing statement drops shard 1's branch, so shard 1 votes no.
+    with pytest.raises(MoodServerError) as excinfo:
+        client.execute("UPDATE Nope n SET x = 1", shard_key=1)
+    assert excinfo.value.code == "UNKNOWN_CLASS"
+    with pytest.raises(MoodServerError) as excinfo:
+        client.commit()
+    assert excinfo.value.code == "TRANSACTION"
+    client.close()
+
+    balances = _balances(host, port)
+    assert balances[0] == OPENING and balances[1] == OPENING
+    assert _in_doubt(router) == []
+    assert router.txlog.pending() == []
+    assert router.metrics.snapshot()["shard.twopc_aborts"] == aborts + 1
+    trace = router.statement_log.find(txn)
+    assert trace is not None and trace.kind == "COMMIT"
+    (root,) = trace.spans
+    votes = [s.detail for s in root.walk() if s.operator == "2PC:PREPARE"]
+    assert any("vote=no" in vote for vote in votes)
+    assert root.find("2PC:DECISION") is None
+
+
 def test_phase_two_verbs_are_idempotent_at_the_worker(ledger):
     router, backends, host, port = ledger
     for verb in ("COMMIT_PREPARED", "ROLLBACK_PREPARED"):
@@ -188,6 +242,37 @@ def test_phase_two_verbs_are_idempotent_at_the_worker(ledger):
         assert response["ok"]
         detail = response["results"][0]["detail"]
         assert "already resolved" in detail
+
+
+# -- the decision log on disk -------------------------------------------------
+
+def test_decision_log_replays_from_its_file_past_a_torn_tail(tmp_path):
+    path = str(tmp_path / "txlog.jsonl")
+    log = CoordinatorLog(path)
+    log.log_decision("g1", [0, 1])
+    log.log_decision("g2", [1, 0])
+    log.log_done("g1")
+    expected = [Decision("g2", "COMMIT", (0, 1))]
+    assert log.pending() == expected
+    assert CoordinatorLog(path).pending() == expected
+
+    # A crash cut the third record's append short: its log_decision
+    # never returned, so presumed abort covers it.
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"kind": "DECISION", "gid": "g3", "verd')
+    reopened = CoordinatorLog(path)
+    assert reopened.pending() == expected
+    # The torn bytes are cut off: the next record starts its own line.
+    reopened.log_decision("g4", [0, 1])
+    assert [d.gid for d in CoordinatorLog(path).pending()] == ["g2", "g4"]
+
+
+def test_decision_log_refuses_a_bad_record_before_its_tail(tmp_path):
+    path = tmp_path / "txlog.jsonl"
+    path.write_text('{"kind": "DECISION", "gid": "g1", "verd\n'
+                    '{"kind": "DONE", "gid": "g1"}\n', encoding="utf-8")
+    with pytest.raises(ValueError):
+        CoordinatorLog(str(path))
 
 
 # -- concurrent transfers: the money never leaks ------------------------------
